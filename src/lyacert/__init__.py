@@ -7,7 +7,7 @@ units, implemented/tensor-product semigroups with projective duality, and
 detectability/observability tests.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .exceptions import (  # noqa: F401
     DefectiveMatrixError,

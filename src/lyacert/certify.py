@@ -16,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .cones import ConeSpec
 from .detect import ObservedPair, detectability_report
 from .exceptions import (
     InternalInconsistencyError,
@@ -36,8 +35,6 @@ from .lyapunov import (
     lyap_apply,
     lyap_solve_direct,
     lyap_solve_integral,
-    monomial,
-    projective_norm,
     rkhs_factor,
 )
 
@@ -67,8 +64,6 @@ DEFAULT_TOLERANCES = {
     "cross_check": 1e-6,  # direct vs integral solver agreement
 }
 
-ABSCISSA_TOL = DEFAULT_TOLERANCES["abscissa"]
-
 
 # ---------------------------------------------------------------------------
 # Problem specification
@@ -82,11 +77,8 @@ class ProblemSpec:
     A: np.ndarray
     C: Optional[np.ndarray] = None
     Q: Optional[np.ndarray] = None
-    p: float = 2.0
-    cone: Optional[ConeSpec] = None
     t0: Optional[float] = None
     tolerances: dict = field(default_factory=dict)
-    seed: int = 0
 
     def __post_init__(self):
         A = as_square(self.A, "A")
@@ -109,8 +101,6 @@ class ProblemSpec:
                     location="Q",
                 )
             object.__setattr__(self, "Q", Q)
-        if self.cone is None:
-            object.__setattr__(self, "cone", ConeSpec.psd(A.shape[0]))
         tols = dict(DEFAULT_TOLERANCES)
         tols.update(self.tolerances)
         object.__setattr__(self, "tolerances", tols)
@@ -122,10 +112,7 @@ class ProblemSpec:
     def to_dict(self):
         d = {
             "A": self.A.tolist(),
-            "p": self.p,
-            "cone": _cone_to_dict(self.cone),
             "tolerances": dict(sorted(self.tolerances.items())),
-            "seed": self.seed,
         }
         if self.C is not None:
             d["C"] = self.C.tolist()
@@ -139,31 +126,13 @@ class ProblemSpec:
         return isinstance(other, ProblemSpec) and self.to_dict() == other.to_dict()
 
 
-def _cone_to_dict(cone):
-    d = {"cone": cone.kind, "dim": cone.dim}
-    if cone.generators is not None:
-        d["generators"] = cone.generators.tolist()
-    return d
-
-
-def _cone_from_dict(d):
-    kind = d.get("cone")
-    if kind == "orthant":
-        return ConeSpec.orthant(int(d["dim"]))
-    if kind == "psd":
-        return ConeSpec.psd(int(d["dim"]))
-    if kind == "polyhedral":
-        return ConeSpec.polyhedral(np.asarray(d["generators"], dtype=float))
-    raise ProblemFormatError(f"unknown cone kind {kind!r}", location="cone")
-
-
 def problem_from_dict(d):
     """Build a ProblemSpec from a decoded problem dictionary."""
     if not isinstance(d, dict):
         raise ProblemFormatError("problem must be a JSON object")
     if "A" not in d:
         raise ProblemFormatError("missing required field", location="A")
-    known = {"A", "C", "Q", "p", "cone", "t0", "tolerances", "seed"}
+    known = {"A", "C", "Q", "t0", "tolerances"}
     unknown = set(d) - known
     if unknown:
         raise ProblemFormatError(
@@ -174,11 +143,8 @@ def problem_from_dict(d):
             A=np.asarray(d["A"], dtype=float),
             C=None if d.get("C") is None else np.asarray(d["C"], dtype=float),
             Q=None if d.get("Q") is None else np.asarray(d["Q"], dtype=float),
-            p=float(d.get("p", 2.0)),
-            cone=None if d.get("cone") is None else _cone_from_dict(d["cone"]),
             t0=None if d.get("t0") is None else float(d["t0"]),
             tolerances=dict(d.get("tolerances", {})),
-            seed=int(d.get("seed", 0)),
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ProblemFormatError):
@@ -256,13 +222,14 @@ class Certificate:
         return canonical_json(self.to_dict())
 
 
-def _output_map(spec):
-    """C from the problem, via the RKHS factor when only Q is given."""
-    if spec.C is not None:
-        return spec.C
-    C = rkhs_factor(spec.Q)
+def output_map(C, Q):
+    """The output map of a right-hand side: C when given, else the RKHS
+    factor of Q (C'C = Q) padded to one zero row when Q has rank 0."""
+    if C is not None:
+        return C
+    C = rkhs_factor(Q)
     if C.shape[0] == 0:
-        C = np.zeros((1, spec.n))  # rank-0 right-hand side, C'C unchanged
+        C = np.zeros((1, Q.shape[0]))  # C'C unchanged
     return C
 
 
@@ -278,7 +245,7 @@ def wonham_certify(spec):
     """
     tols = spec.tolerances
     A = spec.A
-    C = _output_map(spec)
+    C = output_map(spec.C, spec.Q)
     pair = ObservedPair(A=A, C=C)
     report = detectability_report(pair, t0=spec.t0)
     abscissa = spectral_abscissa(A)
@@ -358,32 +325,27 @@ def _check_abscissa_consistency(cert, tols):
 GALLERY_FIXTURES = (
     (
         "stable_detectable",
-        {"A": [[0.0, 1.0], [-2.0, -3.0]], "C": [[1.0, 0.0]], "seed": 42},
+        {"A": [[0.0, 1.0], [-2.0, -3.0]], "C": [[1.0, 0.0]]},
         VERDICT_STABLE,
     ),
     (
         "unstable_detectable",
-        {"A": [[1.0, 0.0], [0.0, -2.0]], "C": [[1.0, 0.0]], "seed": 42},
+        {"A": [[1.0, 0.0], [0.0, -2.0]], "C": [[1.0, 0.0]]},
         VERDICT_UNSTABLE,
     ),
     (
         "undetectable_psd_solution",
-        {"A": [[1.0]], "Q": [[0.0]], "seed": 42},
+        {"A": [[1.0]], "Q": [[0.0]]},
         VERDICT_INCONCLUSIVE,
     ),
     (
         "resonant_spectrum",
-        {"A": [[0.0, 1.0], [-1.0, 0.0]], "C": [[1.0, 0.0], [0.0, 1.0]], "seed": 42},
+        {"A": [[0.0, 1.0], [-1.0, 0.0]], "C": [[1.0, 0.0], [0.0, 1.0]]},
         VERDICT_UNSTABLE,
     ),
     (
         "metzler_weak_detector",
-        {
-            "A": [[1.0, 0.0], [0.0, -1.0]],
-            "C": [[1.0, 0.0]],
-            "cone": {"cone": "orthant", "dim": 2},
-            "seed": 42,
-        },
+        {"A": [[1.0, 0.0], [0.0, -1.0]], "C": [[1.0, 0.0]]},
         VERDICT_UNSTABLE,
     ),
 )
@@ -418,27 +380,24 @@ def run_gallery(out_dir):
 
 def emit_decay_csv(spec, horizon, steps, out):
     """Sample decay observables along the trajectory of the normalized
-    all-ones state: Euclidean state norm, projective norm of the monomial
-    T(t)x tensor T(t)x (equal to the squared norm), and <Q T(t)x, T(t)x>."""
+    all-ones state: Euclidean state norm and <Q T(t)x, T(t)x>."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     A = spec.A
     n = spec.n
-    C = _output_map(spec)
+    C = output_map(spec.C, spec.Q)
     Q = C.T @ C
     x = np.ones(n) / np.sqrt(n)
     ts, mats = expm_grid(A, horizon, steps)
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "state_norm", "pi_norm_monomial", "paired_QTt"])
+        writer.writerow(["t", "state_norm", "paired_QTt"])
         for t, E in zip(ts, mats):
             v = E @ x
-            pi_mono = projective_norm(monomial(v, v, p=2.0))
             writer.writerow(
                 [
                     f"{t:.17g}",
                     f"{float(np.linalg.norm(v)):.17g}",
-                    f"{pi_mono:.17g}",
                     f"{float(v @ Q @ v):.17g}",
                 ]
             )

@@ -1,12 +1,10 @@
 """Command-line interface.
 
 Exit codes for `certify`: 0 certified stable, 2 unstable, 3 inconclusive,
-1 error.  All other commands exit 0 on success, 1 on error.  The
-LYACERT_SEED environment variable overrides the problem seed.
+1 error.  All other commands exit 0 on success, 1 on error.
 """
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -18,13 +16,14 @@ from .certify import (
     VERDICT_UNSTABLE,
     canonical_json,
     emit_decay_csv,
+    output_map,
     parse_problem,
     run_gallery,
     wonham_certify,
 )
 from .detect import ObservedPair, detectability_report, final_observability_constant
 from .exceptions import LyacertError
-from .lyapunov import lyap_apply, lyap_solve_direct, lyap_solve_integral, rkhs_factor
+from .lyapunov import lyap_apply, lyap_solve_direct, lyap_solve_integral
 from .linalg import NormInterval, induced_norm, nuclear_norm
 from .semigroup import SemigroupProbe, lemma_AS_suite
 
@@ -33,11 +32,7 @@ VERDICT_EXIT = {VERDICT_STABLE: 0, VERDICT_UNSTABLE: 2, VERDICT_INCONCLUSIVE: 3}
 
 def _load_problem(path):
     with open(path) as fh:
-        spec = parse_problem(fh.read(), location=path)
-    env_seed = os.environ.get("LYACERT_SEED")
-    if env_seed is not None:
-        spec = dataclasses.replace(spec, seed=int(env_seed))
-    return spec
+        return parse_problem(fh.read(), location=path)
 
 
 def _emit(payload, out):
@@ -47,15 +42,6 @@ def _emit(payload, out):
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _problem_matrices(spec):
-    C = spec.C
-    if C is None:
-        C = rkhs_factor(spec.Q)
-        if C.shape[0] == 0:
-            C = np.zeros((1, spec.n))
-    return spec.A, C
 
 
 def cmd_certify(args):
@@ -77,7 +63,7 @@ def _certify_one(paths):
     except LyacertError as exc:
         return in_path, None, str(exc)
     with open(out_path, "w") as fh:
-        fh.write(canonical_json(cert.to_dict()) + "\n")
+        fh.write(cert.to_json() + "\n")
     return in_path, cert.verdict, None
 
 
@@ -113,7 +99,7 @@ def _certify_batch(in_dir, out_dir, workers):
 
 def cmd_solve(args):
     spec = _load_problem(args.input)
-    A, C = _problem_matrices(spec)
+    A, C = spec.A, output_map(spec.C, spec.Q)
     Q = C.T @ C
     solver = lyap_solve_direct if args.method == "direct" else lyap_solve_integral
     P = solver(A, Q)
@@ -124,16 +110,16 @@ def cmd_solve(args):
 
 def cmd_detect(args):
     spec = _load_problem(args.input)
-    A, C = _problem_matrices(spec)
-    report = detectability_report(ObservedPair(A=A, C=C), t0=spec.t0)
+    pair = ObservedPair(A=spec.A, C=output_map(spec.C, spec.Q))
+    report = detectability_report(pair, t0=spec.t0)
     _emit(report.to_dict(), args.out)
     return 0
 
 
 def cmd_observe(args):
     spec = _load_problem(args.input)
-    A, C = _problem_matrices(spec)
-    eps = final_observability_constant(ObservedPair(A=A, C=C), args.t0)
+    pair = ObservedPair(A=spec.A, C=output_map(spec.C, spec.Q))
+    eps = final_observability_constant(pair, args.t0)
     _emit(
         {"t0": args.t0, "eps_star": eps, "finally_observable": eps > 1e-10},
         args.out,

@@ -32,7 +32,7 @@ from .linalg import (
     gramian_integral,
     spectral_abscissa,
 )
-from .lyapunov import lyap_solve_direct, rkhs_factor
+from .lyapunov import lyap_solve_direct
 
 __all__ = [
     "ObservedPair",
@@ -145,11 +145,16 @@ def l2_detectable(pair, tol=HAUTUS_TOL):
     spectral abscissa < -tol.  For x with an unstable or neutral observable
     component the premise fails, so the implication is vacuous there.
     """
-    basis = unobservable_subspace(pair)
+    return _l2_decision(pair.A, unobservable_subspace(pair), tol)[0]
+
+
+def _l2_decision(A, basis, tol=HAUTUS_TOL):
+    """(L2 verdict, spectral abscissa of A on the unobservable subspace
+    spanned by the orthonormal ``basis``, or None when it is trivial)."""
     if basis.shape[1] == 0:
-        return True
-    restricted = basis.T @ pair.A @ basis
-    return spectral_abscissa(restricted) < -tol
+        return True, None
+    abscissa = spectral_abscissa(basis.T @ A @ basis)
+    return abscissa < -tol, abscissa
 
 
 def stabilizing_output_injection(pair):
@@ -293,16 +298,14 @@ def pi_detector_check(target, samples=8, seed=0):
     if isinstance(target, ObservedPair):
         pair = target
     else:
+        from .certify import output_map  # certify imports this module
+
         A, Q = target
-        A = as_square(A, "A")
-        C = rkhs_factor(Q)
-        if C.shape[0] == 0:
-            C = np.zeros((1, A.shape[0]))
-        pair = ObservedPair(A=A, C=C)
-    decision = l2_detectable(pair)
+        pair = ObservedPair(A=A, C=output_map(None, Q))
+    basis = unobservable_subspace(pair)
+    decision, _ = _l2_decision(pair.A, basis)
     witness = None
     if not decision:
-        basis = unobservable_subspace(pair)
         restricted = basis.T @ pair.A @ basis
         w, V = np.linalg.eig(restricted)
         k = int(np.argmax(w.real))
@@ -446,18 +449,18 @@ def detectability_report(pair, t0=None):
     """Run all detectability tests on a pair, cross-checking the verdicts;
     eps_star is included when an observation horizon t0 is given."""
     hautus = hautus_detectable(pair)
-    exponential, F = is_exponentially_detectable(pair)
-    l2 = l2_detectable(pair)
+    try:
+        F = stabilizing_output_injection(pair)
+    except (NoInjectionExistsError, MarginalSpectrumError):
+        F = None
     basis = unobservable_subspace(pair)
-    absc = None
-    if basis.shape[1]:
-        absc = spectral_abscissa(basis.T @ pair.A @ basis)
+    l2, absc = _l2_decision(pair.A, basis)
     eps = None
     if t0 is not None:
         eps = {"t0": float(t0), "value": final_observability_constant(pair, t0)}
     return DetectabilityReport(
         hautus=hautus,
-        exponential=exponential,
+        exponential=F is not None,
         F=F,
         l2=l2,
         unobservable_basis=basis,

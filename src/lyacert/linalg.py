@@ -24,6 +24,7 @@ __all__ = [
     "as_vector",
     "check_symmetric",
     "vector_norm",
+    "dual_exponent",
     "expm",
     "expm_grid",
     "integral_exp",
@@ -64,11 +65,7 @@ class SpaceNorm:
     @property
     def q(self):
         """Dual exponent: 1/p + 1/q = 1 (q = inf when p = 1)."""
-        if self.p == 1.0:
-            return math.inf
-        if math.isinf(self.p):
-            return 1.0
-        return self.p / (self.p - 1.0)
+        return dual_exponent(self.p)
 
 
 @dataclass(frozen=True)
@@ -278,16 +275,18 @@ def spectral_abscissa(A):
     return float(np.max(eigenvalues(A).real))
 
 
-#: safety margin between the spectral bound and the certified decay rate
+#: safety margin between the spectral bound and the fitted decay rate
 GROWTH_MARGIN = 0.05
 
 
 def growth_fit(A, horizon=None, steps=200):
-    """Fit a certified envelope ||e^{tA}|| <= M e^{-eps t} on a uniform grid.
+    """Fit an envelope ||e^{tA}|| <= M e^{-eps t} on a uniform grid.
 
     eps is the spectral abscissa shrunk by a fixed 5% margin, which
     guarantees a finite M on any grid; M is the grid maximum of
-    ||e^{tA}||_2 * e^{eps t}.
+    ||e^{tA}||_2 * e^{eps t}.  The envelope holds on the sampled grid
+    (200 steps by default) only: it is not a bound for all t, and
+    ||e^{tA}|| can exceed it between or beyond the grid points.
 
     Raises
     ------
@@ -321,7 +320,8 @@ def growth_fit(A, horizon=None, steps=200):
 # Induced and nuclear norms
 # ---------------------------------------------------------------------------
 
-def _dual_exponent(p):
+def dual_exponent(p):
+    """q with 1/p + 1/q = 1 (q = inf when p = 1, q = 1 when p = inf)."""
     if p == 1.0:
         return math.inf
     if math.isinf(p):
@@ -349,7 +349,7 @@ def induced_norm(M, p_from, p_to):
         # extreme points of the l1 ball are +-e_j
         return float(max(vector_norm(M[:, j], pt) for j in range(M.shape[1])))
     if math.isinf(pt):
-        qf = _dual_exponent(pf)
+        qf = dual_exponent(pf)
         return float(max(vector_norm(M[i, :], qf) for i in range(M.shape[0])))
     if pf == 2.0 and pt == 2.0:
         return float(np.linalg.norm(M, 2))

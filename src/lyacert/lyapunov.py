@@ -28,6 +28,7 @@ from .linalg import (
     as_square,
     as_vector,
     check_symmetric,
+    dual_exponent,
     eigenvalues,
     expm,
     gramian_integral,
@@ -280,7 +281,7 @@ def _duality_vec(x, p):
 
 def _projective_interval(R, p, n_samples=32, seed=0):
     n, m = R.shape
-    q = math.inf if p == 1.0 else (1.0 if math.isinf(p) else p / (p - 1.0))
+    q = dual_exponent(p)
 
     # upper bounds: any explicit decomposition sum ||x_k|| ||y_k||
     U, sig, Vt = np.linalg.svd(R)

@@ -10,7 +10,6 @@ horizon-doubling heuristic exists only as a clearly flagged fallback for
 defective generators.
 """
 
-import csv
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -46,7 +45,6 @@ __all__ = [
     "DetectorResult",
     "LemmaReport",
     "trajectory",
-    "write_trajectory_csv",
     "is_exponentially_stable",
     "weak_L1_stable_on_cone",
     "weak_detector_check",
@@ -245,16 +243,6 @@ def trajectory(probe, x, grid):
         v = expm(probe.A, t) @ x
         out.append((t, v, vector_norm(v, p)))
     return out
-
-
-def write_trajectory_csv(probe, x, grid, path):
-    """Emit rows "t,norm" for plotting."""
-    rows = trajectory(probe, x, grid)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "norm"])
-        for t, _, nrm in rows:
-            writer.writerow([f"{t:.17g}", f"{nrm:.17g}"])
 
 
 def is_exponentially_stable(probe, tol=ABSCISSA_TOL):

@@ -33,10 +33,6 @@ class TestProblemSpec:
         with pytest.raises(ProblemFormatError):
             problem_from_dict({"A": [[1.0]], "C": [[1.0, 2.0]]})
 
-    def test_default_cone_is_psd(self):
-        spec = problem_from_dict({"A": [[-1.0]], "C": [[1.0]]})
-        assert spec.cone.kind == "psd" and spec.cone.dim == 1
-
     def test_tolerances_merged_with_defaults(self):
         spec = problem_from_dict(
             {"A": [[-1.0]], "C": [[1.0]], "tolerances": {"residual": 1e-6}}
@@ -45,8 +41,13 @@ class TestProblemSpec:
         assert spec.tolerances["psd"] == 1e-9
 
     def test_unknown_field_rejected_with_location(self):
-        with pytest.raises(ProblemFormatError, match="bogus"):
-            problem_from_dict({"A": [[-1.0]], "C": [[1.0]], "bogus": 1})
+        # no certificate depends on p, cone or seed: they are unknown fields
+        for field, value in [("bogus", 1), ("p", 2.0), ("seed", 42),
+                             ("cone", {"cone": "psd", "dim": 1})]:
+            with pytest.raises(ProblemFormatError,
+                               match=rf"unknown fields \['{field}'\]") as info:
+                problem_from_dict({"A": [[-1.0]], "C": [[1.0]], field: value})
+            assert info.value.location == field
 
     def test_malformed_json_carries_location(self):
         with pytest.raises(ProblemFormatError, match="problem.json"):
@@ -58,11 +59,8 @@ class TestRoundTrip:
         original = {
             "A": [[0.0, 1.0], [-2.0, -3.0]],
             "C": [[1.0, 0.3]],
-            "p": 2.0,
-            "cone": {"cone": "orthant", "dim": 2},
             "t0": 1.0,
             "tolerances": {"residual": 1e-8, "psd": 1e-9},
-            "seed": 42,
         }
         spec = problem_from_dict(original)
         text = canonical_json(spec.to_dict())
@@ -76,19 +74,6 @@ class TestRoundTrip:
                                   "Q": [[1.0, 0.0], [0.0, 1.0]]})
         spec2 = parse_problem(canonical_json(spec.to_dict()))
         assert spec2.A.tolist() == spec.A.tolist()
-
-    def test_polyhedral_cone_roundtrip(self):
-        spec = problem_from_dict({
-            "A": [[-1.0, 0.5], [0.0, -2.0]],
-            "Q": [[1.0, 0.0], [0.0, 1.0]],
-            "cone": {"cone": "polyhedral", "dim": 2,
-                     "generators": [[1.0, 1.0], [0.0, 1.0]]},
-        })
-        spec2 = parse_problem(canonical_json(spec.to_dict()))
-        assert spec == spec2
-        assert spec2.cone.kind == "polyhedral"
-        np.testing.assert_array_equal(spec2.cone.generators,
-                                      [[1.0, 1.0], [0.0, 1.0]])
 
     def test_digest_deterministic_and_content_sensitive(self):
         a = problem_from_dict({"A": [[-1.0]], "C": [[1.0]]})
@@ -204,10 +189,9 @@ class TestDecayCsv:
         out = tmp_path / "decay.csv"
         emit_decay_csv(spec, horizon=2.0, steps=8, out=out)
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == "t,state_norm,pi_norm_monomial,paired_QTt"
+        assert lines[0] == "t,state_norm,paired_QTt"
         assert len(lines) == 10  # header + steps + 1
         for line in lines[1:]:
-            t, state, pi_mono, paired = map(float, line.split(","))
+            t, state, paired = map(float, line.split(","))
             assert state == pytest.approx(np.exp(-t), abs=1e-10)
-            assert pi_mono == pytest.approx(state**2, abs=1e-10)
             assert paired == pytest.approx(state**2, abs=1e-10)

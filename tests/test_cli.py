@@ -12,7 +12,6 @@ def problem_file(tmp_path):
     path.write_text(json.dumps({
         "A": [[0.0, 1.0], [-2.0, -3.0]],
         "C": [[1.0, 0.0]],
-        "seed": 7,
     }))
     return str(path)
 
@@ -54,14 +53,16 @@ class TestCertifyCommand:
         bad.write_text("{")
         assert main(["certify", "--input", str(bad)]) == 1
 
-    def test_seed_env_override_changes_digest(self, problem_file, capsys,
-                                              monkeypatch):
-        main(["certify", "--input", problem_file])
-        digest_default = json.loads(capsys.readouterr().out)["input_digest"]
-        monkeypatch.setenv("LYACERT_SEED", "12345")
-        main(["certify", "--input", problem_file])
-        digest_env = json.loads(capsys.readouterr().out)["input_digest"]
-        assert digest_default != digest_env
+    @pytest.mark.parametrize("field, value", [
+        ("p", 2.0),
+        ("cone", {"cone": "psd", "dim": 1}),
+        ("seed", 42),
+    ])
+    def test_removed_field_exit_one(self, tmp_path, capsys, field, value):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"A": [[-1.0]], "C": [[1.0]], field: value}))
+        assert main(["certify", "--input", str(path)]) == 1
+        assert f"unknown fields ['{field}']" in capsys.readouterr().err
 
 
 class TestSolveCommand:
@@ -106,7 +107,7 @@ class TestProbeAndNorms:
         assert main(["probe", "--input", problem_file, "--horizon", "2.0",
                      "--steps", "5", "--csv", str(csv_path)]) == 0
         lines = csv_path.read_text().strip().splitlines()
-        assert lines[0] == "t,state_norm,pi_norm_monomial,paired_QTt"
+        assert lines[0] == "t,state_norm,paired_QTt"
         assert len(lines) == 7
 
     def test_norms_exact_p2(self, problem_file, capsys):

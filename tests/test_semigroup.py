@@ -19,7 +19,6 @@ from lyacert.semigroup import (
     trajectory,
     weak_L1_stable_on_cone,
     weak_detector_check,
-    write_trajectory_csv,
 )
 
 from conftest import random_matrix, stable_matrix, stable_metzler
@@ -63,14 +62,6 @@ class TestTrajectory:
         probe = SemigroupProbe(A=np.zeros((2, 2)))
         with pytest.raises(ValueError):
             trajectory(probe, [1.0, 0.0], [1.0, 0.5])
-
-    def test_csv_rows(self, tmp_path):
-        probe = SemigroupProbe(A=-np.eye(2))
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(probe, [1.0, 0.0], [0.0, 1.0], path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,norm"
-        assert len(lines) == 3
 
 
 class TestExponentialStability:
