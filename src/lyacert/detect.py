@@ -29,6 +29,7 @@ from .linalg import (
     as_vector,
     eigenvalues,
     expm,
+    gramian_doubling,
     gramian_integral,
     spectral_abscissa,
 )
@@ -233,25 +234,17 @@ def final_observability_constant(pair, t0):
 def gramian_value_sequence(A, Q, xs, max_horizon=256.0):
     """x' W(t) x for each x in xs at t = 1, 2, 4, ..., max_horizon.
 
-    The Gramians are accumulated by the doubling identity
-    W(2t) = W(t) + e^{tA}' W(t) e^{tA}, which adds PSD terms only and so
-    stays accurate at horizons where the one-shot block exponential loses
-    precision.  Divergent sequences saturate to non-finite values and are
-    truncated."""
+    linalg.gramian_doubling adds PSD terms only, so it stays accurate at
+    horizons where one block exponential loses precision.  Divergent
+    sequences saturate to non-finite values and are truncated."""
     xs = [np.asarray(x, dtype=float) for x in xs]
     out = [[] for _ in xs]
     with np.errstate(over="ignore", invalid="ignore"):
-        W = gramian_integral(A, Q, 1.0)
-        E = expm(A, 1.0)
-        t = 1.0
-        while t <= max_horizon:
+        for t, W in gramian_doubling(A, Q, 1.0):
+            if t > max_horizon:
+                break
             for i, x in enumerate(xs):
                 out[i].append(float(x @ W @ x))
-            if not np.all(np.isfinite(W)) or not np.all(np.isfinite(E)):
-                break
-            W = W + E.T @ W @ E
-            E = E @ E
-            t *= 2.0
     return out
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "integral_exp",
     "cesaro_integral",
     "gramian_integral",
+    "gramian_doubling",
     "eigenvalues",
     "spectral_abscissa",
     "growth_fit",
@@ -253,6 +254,20 @@ def gramian_integral(A, Q, t):
     E = scipy.linalg.expm(t * M)
     W = E[n:, n:].T @ E[:n, n:]
     return 0.5 * (W + W.T)
+
+
+def gramian_doubling(A, Q, t):
+    """Yield (t, W(t)) at t, 2t, 4t, ... by W(2t) = W(t) + e^{tA'} W(t) e^{tA}
+    (squared Smith iteration); ends after the first non-finite W or e^{tA}."""
+    W = gramian_integral(A, Q, t)
+    E = expm(A, t)
+    while True:
+        yield t, W
+        if not np.all(np.isfinite(W)) or not np.all(np.isfinite(E)):
+            return
+        W = W + E.T @ W @ E
+        E = E @ E
+        t *= 2.0
 
 
 # ---------------------------------------------------------------------------

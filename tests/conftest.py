@@ -76,6 +76,18 @@ def undetectable_pair(rng, n, m, k_unstable=1):
     return ObservedPair(A=S @ A_rot @ S.T, C=C_rot @ S.T)
 
 
+def slow_decay_problem(alpha, n=6, seed=4):
+    """Problem dict of a stable single-output pair with spectral abscissa
+    alpha (planted on the diagonal of a real Schur form T, A = S T S'),
+    strongly non-normal through the coupling above the diagonal.  With
+    seed 4, ||P|| is about 1.3e7 at alpha = -1e-5 and 1.3e8 at -1e-6."""
+    rng = np.random.default_rng(seed)
+    T = np.triu(rng.standard_normal((n, n)), 1)
+    T[np.diag_indices(n)] = [alpha] + list(-rng.uniform(0.2, 1.0, n - 1))
+    S, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return {"A": (S @ T @ S.T).tolist(), "C": rng.standard_normal((1, n)).tolist()}
+
+
 def simpson_matrix_quadrature(f, a, b, nodes):
     """Composite Simpson rule for a matrix-valued function (odd node count)."""
     if nodes % 2 == 0:

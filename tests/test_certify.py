@@ -16,10 +16,11 @@ from lyacert.certify import (
     run_gallery,
     wonham_certify,
 )
-from lyacert.exceptions import ProblemFormatError
+from lyacert.exceptions import ProblemFormatError, ResonantSpectrumError
 from lyacert.linalg import spectral_abscissa
+from lyacert.lyapunov import lyap_solve_direct
 
-from conftest import random_observed_pair
+from conftest import random_observed_pair, slow_decay_problem
 
 
 class TestProblemSpec:
@@ -118,6 +119,29 @@ class TestWonhamCertify:
         assert cert.verdict == VERDICT_UNSTABLE
         assert cert.method == "spectral-only"
         assert cert.P is None
+
+    def test_resonant_reports_first_pair(self):
+        # eigenvalues -2, -1, 1, 2: the pairs (0, 3) and (1, 2) both
+        # resonate; the first in row-major order is named
+        A = np.diag([2.0, 1.0, -1.0, -2.0])
+        with pytest.raises(ResonantSpectrumError,
+                           match=r"lambda_0 \+ lambda_3 = ") as info:
+            lyap_solve_direct(A, np.eye(4))
+        assert info.value.pair == (-2 + 0j, 2 + 0j)
+        cert = wonham_certify(ProblemSpec(A=A, C=np.ones((1, 4))))
+        assert cert.method == "spectral-only"
+        assert cert.reason == "resonant spectrum: ((-2+0j), (2+0j))"
+
+    @pytest.mark.parametrize("alpha", [-1e-5, -1e-6])
+    def test_slow_decay_certified(self, alpha):
+        # slowly decaying and strongly non-normal: both solvers must still
+        # meet the residual gate and converge
+        spec = problem_from_dict(slow_decay_problem(alpha))
+        cert = wonham_certify(spec)
+        assert cert.verdict == VERDICT_STABLE
+        Q = spec.C.T @ spec.C
+        assert np.linalg.norm(cert.P) >= 1e7
+        assert cert.residual <= 1e-8 * np.linalg.norm(Q)
 
     def test_verdicts_agree_with_abscissa(self, rng):
         for _ in range(10):

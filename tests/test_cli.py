@@ -5,6 +5,8 @@ import pytest
 
 from lyacert.cli import main
 
+from conftest import slow_decay_problem
+
 
 @pytest.fixture
 def problem_file(tmp_path):
@@ -43,6 +45,13 @@ class TestCertifyCommand:
 
     def test_inconclusive_exit_three(self, undetectable_file, capsys):
         assert main(["certify", "--input", undetectable_file]) == 3
+
+    @pytest.mark.parametrize("alpha", [-1e-5, -1e-6])
+    def test_slow_decay_exit_zero(self, tmp_path, capsys, alpha):
+        path = tmp_path / "slow.json"
+        path.write_text(json.dumps(slow_decay_problem(alpha)))
+        assert main(["certify", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "ExponentiallyStable"
 
     def test_missing_file_exit_one(self, capsys):
         assert main(["certify", "--input", "/nonexistent.json"]) == 1
