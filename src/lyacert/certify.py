@@ -287,7 +287,7 @@ def wonham_certify(spec):
     lam_min = float(np.linalg.eigvalsh(P)[0])
     scale = max(float(np.linalg.norm(P, 2)), 1e-300)
     if lam_min >= -tols["psd"] * scale:
-        growth = growth_fit(A)
+        growth = growth_fit(A, abscissa)
         P_int = lyap_solve_integral(A, Q)
         gap = np.linalg.norm(P_int - P) / max(np.linalg.norm(P), 1.0)
         if gap > tols["cross_check"]:

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.optimize
 
 from .exceptions import (
     DimensionError,
@@ -80,6 +79,10 @@ class ConeSpec:
             raise ValueError("zero generator")
         # properness: the cone must not contain a line, i.e. no -g_j may be
         # a nonnegative combination of the generators
+        # imported here, not at module level: it costs about 0.3 s at start-up
+        # and only polyhedral cones use it
+        import scipy.optimize
+
         for j in range(G.shape[1]):
             _, resid = scipy.optimize.nnls(G, -G[:, j])
             if resid <= 1e-10 * norms[j]:
@@ -127,6 +130,8 @@ def cone_contains(cone, x, tol=1e-10):
     if cone.kind == PSD:
         lam_min = float(np.linalg.eigvalsh(x)[0])
         return lam_min >= -tol * max(1.0, float(np.linalg.norm(x, 2)))
+    import scipy.optimize
+
     _, resid = scipy.optimize.nnls(cone.generators, x)
     return resid <= _scaled_tol(tol, x)
 
@@ -184,6 +189,8 @@ def is_order_unit(cone, e, tol=1e-9):
         return False
     if not cone_contains(cone, e):
         return False
+    import scipy.optimize
+
     radius = tol * max(1.0, float(np.linalg.norm(e)))
     n, k = G.shape
     for i in range(n):

@@ -71,7 +71,7 @@ class SpaceNorm:
 
 @dataclass(frozen=True)
 class GrowthBound:
-    """Exponential envelope ||e^{tA}|| <= M * exp(-eps * t) on a sampled grid."""
+    """Exponential envelope ||e^{tA}||_2 <= M * exp(-eps * t) for all t >= 0."""
 
     M: float
     eps: float
@@ -290,45 +290,62 @@ def spectral_abscissa(A):
     return float(np.max(eigenvalues(A).real))
 
 
-#: safety margin between the spectral bound and the fitted decay rate
+#: safety margin between the spectral bound and the envelope's decay rate
 GROWTH_MARGIN = 0.05
 
+#: c / mu for the candidate P_c = I + c P_I in growth_fit: c must exceed mu,
+#: and kappa(P_c) grows with c
+LOGNORM_SLACK = 1.01
 
-def growth_fit(A, horizon=None, steps=200):
-    """Fit an envelope ||e^{tA}|| <= M e^{-eps t} on a uniform grid.
 
-    eps is the spectral abscissa shrunk by a fixed 5% margin, which
-    guarantees a finite M on any grid; M is the grid maximum of
-    ||e^{tA}||_2 * e^{eps t}.  The envelope holds on the sampled grid
-    (200 steps by default) only: it is not a bound for all t, and
-    ||e^{tA}|| can exceed it between or beyond the grid points.
+def growth_fit(A, alpha):
+    """Envelope ||e^{tA}||_2 <= M e^{-eps t} for all t >= 0.
+
+    ``alpha`` is the spectral abscissa of A, which every caller has already
+    computed; eps = 0.95 |alpha|.  With A_eps = A + eps I, any P > 0 with
+    R = A_eps'P + P A_eps <= 0 bounds the envelope by M = sqrt(kappa(P)):
+    for y = e^{t A_eps} x, d/dt y'Py = y'Ry <= 0, so
+    lambda_min(P) |y|^2 <= y'Py <= x'Px <= lambda_max(P) |x|^2, and
+    e^{tA} = e^{-eps t} e^{t A_eps}.
+
+    If mu = lambda_max(A_eps + A_eps') <= 0, P = I qualifies and M = 1 (the
+    logarithmic-norm bound, taken by every normal A).  Otherwise one
+    Lyapunov solve A_eps'P_I + P_I A_eps = -I gives two candidates, P_I
+    and P_c = I + c P_I with c just above mu, whose R is
+    A_eps + A_eps' - cI.  A candidate counts only if its computed R has
+    lambda_max < 0 and its lambda_min(P) > 0; M is the smaller sqrt(kappa).
 
     Raises
     ------
     NotStableError
         If the spectral abscissa is not negative.
+    NumericalError
+        If neither candidate passes its check.
     """
     A = as_square(A, "A")
-    alpha = spectral_abscissa(A)
     if alpha >= 0.0:
         raise NotStableError(f"generator is not stable: spectral abscissa {alpha:.3e}")
     eps = -alpha * (1.0 - GROWTH_MARGIN)
-    if horizon is None:
-        # cap the auto horizon: near-marginal generators would otherwise ask
-        # expm for steps far beyond representable dynamic range
-        horizon = min(10.0 / eps, 1e6 / max(1.0, float(np.linalg.norm(A, 2))))
-    ts, mats = expm_grid(A, horizon, steps)
-    norms = np.array([np.linalg.norm(m, 2) for m in mats])
-    M = float(np.max(norms * np.exp(eps * ts)))
-    if not math.isfinite(M):
+    n = A.shape[0]
+    A_eps = A + eps * np.eye(n)
+    mu = float(np.linalg.eigvalsh(A_eps + A_eps.T)[-1])
+    if mu <= 0.0:
+        return GrowthBound(M=1.0, eps=eps)
+    P_I = scipy.linalg.solve_continuous_lyapunov(A_eps.T, -np.eye(n))
+    P_I = 0.5 * (P_I + P_I.T)
+    if not np.all(np.isfinite(P_I)):
+        raise NumericalError(f"shifted Lyapunov solve is not finite (eps {eps:.3e})")
+    kappa = math.inf
+    for P in (P_I, np.eye(n) + LOGNORM_SLACK * mu * P_I):
+        AP = A_eps.T @ P  # R = AP + AP' as P is symmetric
+        lam = np.linalg.eigvalsh(P)
+        if np.linalg.eigvalsh(AP + AP.T)[-1] < 0.0 and lam[0] > 0.0:
+            kappa = min(kappa, lam[-1] / lam[0])
+    if not math.isfinite(kappa):
         raise NumericalError(
-            f"growth fit overflowed on horizon {horizon:.3e} (eps {eps:.3e})"
+            f"no shifted Lyapunov solution passed its check (eps {eps:.3e})"
         )
-    M = max(M, 1.0)
-    # the bound holds on the grid by construction; keep the guard anyway
-    if np.any(norms > M * np.exp(-eps * ts) * (1.0 + 1e-9)):
-        raise NumericalError("growth bound violated on its own grid")
-    return GrowthBound(M=M, eps=eps)
+    return GrowthBound(M=max(1.0, math.sqrt(kappa)), eps=eps)
 
 
 # ---------------------------------------------------------------------------

@@ -383,8 +383,9 @@ class StabilityReport:
 
 def stability_report(probe):
     """Assemble the per-notion stability verdicts for a probe."""
-    exponential = is_exponentially_stable(probe)
-    growth = growth_fit(probe.A) if exponential else None
+    alpha = spectral_abscissa(probe.A)
+    exponential = alpha < -ABSCISSA_TOL
+    growth = growth_fit(probe.A, alpha) if exponential else None
     weak = weak_L1_stable_on_cone(probe) if probe.cone is not None else None
     return StabilityReport(
         exponential=exponential,

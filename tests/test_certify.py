@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lyacert
 from lyacert.certify import (
     VERDICT_INCONCLUSIVE,
     VERDICT_STABLE,
@@ -142,6 +146,24 @@ class TestWonhamCertify:
         Q = spec.C.T @ spec.C
         assert np.linalg.norm(cert.P) >= 1e7
         assert cert.residual <= 1e-8 * np.linalg.norm(Q)
+
+    def test_certify_leaves_scipy_optimize_unloaded(self):
+        # scipy.optimize takes about a third of a second and 20 MB to
+        # import; only polyhedral cones need it
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from lyacert import ProblemSpec, wonham_certify\n"
+            "A = np.array([[0.0, 1.0], [-2.0, -3.0]])\n"
+            "cert = wonham_certify(ProblemSpec(A=A, C=np.array([[1.0, 0.0]])))\n"
+            "assert cert.verdict == 'ExponentiallyStable', cert.verdict\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+        )
+        src = os.path.dirname(os.path.dirname(lyacert.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
 
     def test_verdicts_agree_with_abscissa(self, rng):
         for _ in range(10):

@@ -165,30 +165,52 @@ class TestSpectralAbscissa:
         assert spectral_abscissa(A) == pytest.approx(-1.0)
 
 
+def envelope_holds(A, gb, horizon, steps):
+    """||e^{tA}||_2 <= M e^{-eps t} (1 + 1e-9) on a uniform grid of [0, horizon]."""
+    ts, mats = expm_grid(A, horizon, steps)
+    norms = np.linalg.norm(mats, ord=2, axis=(1, 2))
+    return bool(np.all(norms <= gb.M * np.exp(-gb.eps * ts) * (1 + 1e-9)))
+
+
 class TestGrowthFit:
     def test_normal_matrix(self):
-        gb = growth_fit(np.diag([-1.0, -2.0]))
+        A = np.diag([-1.0, -2.0])
+        gb = growth_fit(A, spectral_abscissa(A))
         assert gb.eps == pytest.approx(0.95)
         assert gb.M == pytest.approx(1.0, abs=1e-9)
 
-    def test_transient_growth(self):
-        A = np.array([[-1.0, 10.0], [0.0, -1.0]])
-        gb = growth_fit(A, horizon=10.0, steps=400)
-        assert gb.M > 1.0
-        # grid-maximum oracle
-        ts = np.linspace(0, 10.0, 401)
-        oracle = max(np.linalg.norm(expm(A, t), 2) * np.exp(gb.eps * t) for t in ts)
-        assert gb.M == pytest.approx(oracle, rel=1e-9)
+    @pytest.mark.parametrize("k, sup", [(2, 7.38), (3, 109.0), (4, 1797.0)])
+    def test_jordan_block_bound_holds(self, k, sup):
+        # a grid fit misses these sups between or beyond its grid points
+        A = -np.eye(k) + np.diag(np.ones(k - 1), 1)
+        gb = growth_fit(A, spectral_abscissa(A))
+        assert gb.eps == pytest.approx(0.95)
+        assert gb.M >= sup
+        assert envelope_holds(A, gb, 400.0, 40000)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        alpha=st.floats(-1.0, -0.05),
+        scale=st.floats(0.1, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bound_holds_for_all_t(self, n, alpha, scale, seed):
+        rng = np.random.default_rng(seed)
+        B = scale * random_matrix(rng, n)
+        A = B - (spectral_abscissa(B) - alpha) * np.eye(n)
+        gb = growth_fit(A, spectral_abscissa(A))
+        assert envelope_holds(A, gb, 30.0 / gb.eps, 3000)
 
     def test_unstable_rejected(self):
         with pytest.raises(NotStableError):
-            growth_fit(np.zeros((2, 2)))
+            growth_fit(np.zeros((2, 2)), 0.0)
 
     def test_bound_holds_on_dense_grid(self, rng):
         from conftest import stable_matrix
 
         A = stable_matrix(rng, 5)
-        gb = growth_fit(A)
+        gb = growth_fit(A, spectral_abscissa(A))
         for t in np.linspace(0, 10.0 / gb.eps, 50):
             assert np.linalg.norm(expm(A, t), 2) <= gb.M * np.exp(-gb.eps * t) * (
                 1 + 1e-6
@@ -202,12 +224,11 @@ class TestGrowthFit:
         with pytest.raises(ValueError):
             GrowthBound(M=2.0, eps=0.0)
 
-    def test_near_marginal_generator_capped_horizon(self):
-        # the auto horizon is capped so the fit stays finite; the bound is
-        # loose but still grid-verified
+    def test_near_marginal_generator(self):
+        # sup_t t e^{-5e-11 t} = 7.4e9 at t = 2e10
         A = np.array([[-1e-9, 1.0], [0.0, -1e-9]])
-        gb = growth_fit(A)
-        assert np.isfinite(gb.M) and gb.M >= 1.0
+        gb = growth_fit(A, spectral_abscissa(A))
+        assert np.isfinite(gb.M) and gb.M >= 7.4e9
 
 
 class TestInducedNorm:
