@@ -10,6 +10,8 @@ with it raises instead of emitting a silent certificate.
 import csv
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,6 +25,7 @@ from .exceptions import (
     ResonantSpectrumError,
 )
 from .linalg import (
+    ABSCISSA_TOL,
     GrowthBound,
     as_matrix,
     as_square,
@@ -60,7 +63,7 @@ VERDICT_INCONCLUSIVE = "Inconclusive"
 DEFAULT_TOLERANCES = {
     "residual": 1e-8,   # relative residual bound for the Lyapunov solve
     "psd": 1e-9,        # relative lambda_min slack for calling P positive
-    "abscissa": 1e-10,  # stability threshold on the spectral cross-check
+    "abscissa": ABSCISSA_TOL,  # stability threshold on the spectral cross-check
     "cross_check": 1e-6,  # direct vs integral solver agreement
 }
 
@@ -69,10 +72,20 @@ DEFAULT_TOLERANCES = {
 # Problem specification
 # ---------------------------------------------------------------------------
 
+def _check_positive_number(value, location):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not (math.isfinite(value) and value > 0):
+        raise ProblemFormatError(
+            f"must be a finite number above 0, got {value!r}", location=location
+        )
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """One certification problem: generator A plus either an output map C
-    or a PSD right-hand side Q = C'C."""
+    or a PSD right-hand side Q = C'C.  t0, when given, and every tolerance
+    must be finite and positive; tolerance keys are those of
+    DEFAULT_TOLERANCES."""
 
     A: np.ndarray
     C: Optional[np.ndarray] = None
@@ -101,6 +114,17 @@ class ProblemSpec:
                     location="Q",
                 )
             object.__setattr__(self, "Q", Q)
+        if self.t0 is not None:
+            _check_positive_number(self.t0, "t0")
+        if not isinstance(self.tolerances, dict):
+            raise ProblemFormatError("must be an object", location="tolerances")
+        for key, value in self.tolerances.items():
+            if key not in DEFAULT_TOLERANCES:
+                raise ProblemFormatError(
+                    f"unknown tolerance, expected one of {sorted(DEFAULT_TOLERANCES)}",
+                    location=f"tolerances.{key}",
+                )
+            _check_positive_number(value, f"tolerances.{key}")
         tols = dict(DEFAULT_TOLERANCES)
         tols.update(self.tolerances)
         object.__setattr__(self, "tolerances", tols)
@@ -144,7 +168,7 @@ def problem_from_dict(d):
             C=None if d.get("C") is None else np.asarray(d["C"], dtype=float),
             Q=None if d.get("Q") is None else np.asarray(d["Q"], dtype=float),
             t0=None if d.get("t0") is None else float(d["t0"]),
-            tolerances=dict(d.get("tolerances", {})),
+            tolerances=d.get("tolerances", {}),
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ProblemFormatError):
@@ -284,8 +308,9 @@ def wonham_certify(spec):
         )
 
     residual = float(np.linalg.norm(lyap_apply(A, P) + Q))
-    lam_min = float(np.linalg.eigvalsh(P)[0])
-    scale = max(float(np.linalg.norm(P, 2)), 1e-300)
+    lam = np.linalg.eigvalsh(P)
+    lam_min = float(lam[0])
+    scale = max(float(np.abs(lam).max()), 1e-300)  # ||P||_2, P symmetric
     if lam_min >= -tols["psd"] * scale:
         growth = growth_fit(A, abscissa)
         P_int = lyap_solve_integral(A, Q)

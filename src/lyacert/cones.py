@@ -17,7 +17,6 @@ from .exceptions import (
     UnsupportedConeOperation,
 )
 from .linalg import (
-    TOL_FLOOR,
     as_matrix,
     as_square,
     as_vector,
@@ -42,6 +41,11 @@ __all__ = [
 ORTHANT = "orthant"
 PSD = "psd"
 POLYHEDRAL = "polyhedral"
+
+#: slack, relative to max(1, ||x||), within which x counts as in the cone
+MEMBERSHIP_TOL = 1e-10
+#: margin by which an order unit must lie inside the cone
+ORDER_UNIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -113,39 +117,40 @@ def _element(cone, x):
     return as_vector(x, cone.dim, "element")
 
 
-def _scaled_tol(tol, x):
-    return max(tol * max(1.0, float(np.linalg.norm(np.ravel(x)))), TOL_FLOOR)
+def _scaled_tol(x):
+    return MEMBERSHIP_TOL * max(1.0, float(np.linalg.norm(np.ravel(x))))
 
 
-def cone_contains(cone, x, tol=1e-10):
-    """Membership test with relative tolerance.
+def cone_contains(cone, x):
+    """Membership test with slack MEMBERSHIP_TOL * max(1, ||x||).
 
-    Orthant: all entries >= -tol.  PSD: lambda_min >= -tol * max(1, ||x||).
+    Orthant: all entries >= -slack.  PSD: lambda_min >= -slack.
     Polyhedral: nonnegative-least-squares distance to the generator cone
-    <= tol.
+    <= slack.
     """
     x = _element(cone, x)
     if cone.kind == ORTHANT:
-        return bool(np.min(x) >= -_scaled_tol(tol, x))
+        return bool(np.min(x) >= -_scaled_tol(x))
     if cone.kind == PSD:
         lam_min = float(np.linalg.eigvalsh(x)[0])
-        return lam_min >= -tol * max(1.0, float(np.linalg.norm(x, 2)))
+        return lam_min >= -MEMBERSHIP_TOL * max(1.0, float(np.linalg.norm(x, 2)))
     import scipy.optimize
 
     _, resid = scipy.optimize.nnls(cone.generators, x)
-    return resid <= _scaled_tol(tol, x)
+    return resid <= _scaled_tol(x)
 
 
-def dual_cone_contains(cone, phi, tol=1e-10):
+def dual_cone_contains(cone, phi):
     """Dual-cone membership: orthant and PSD are self-dual; a polyhedral
-    dual functional must pair nonnegatively with every generator."""
+    dual functional must pair nonnegatively with every generator, down to
+    -MEMBERSHIP_TOL * ||g||."""
     if cone.kind in (ORTHANT, PSD):
-        return cone_contains(cone, phi, tol)
+        return cone_contains(cone, phi)
     phi = as_vector(phi, cone.dim, "functional")
     G = cone.generators
     for j in range(G.shape[1]):
         g = G[:, j]
-        if float(phi @ g) < -tol * float(np.linalg.norm(g)):
+        if float(phi @ g) < -MEMBERSHIP_TOL * float(np.linalg.norm(g)):
             return False
     return True
 
@@ -172,18 +177,19 @@ def decompose_pm(cone, phi):
     )
 
 
-def is_order_unit(cone, e, tol=1e-9):
+def is_order_unit(cone, e):
     """Interior test: does e admit -lambda*e <= x <= lambda*e for all x?
 
-    Orthant: min entry >= tol.  PSD: lambda_min(e) >= tol.  Polyhedral:
-    generators span the space and a cross-polytope around e of radius
-    proportional to tol stays inside the cone (per-direction LPs).
+    Orthant: min entry >= ORDER_UNIT_TOL.  PSD: lambda_min(e) >=
+    ORDER_UNIT_TOL.  Polyhedral: generators span the space and a
+    cross-polytope around e of radius proportional to ORDER_UNIT_TOL stays
+    inside the cone (per-direction LPs).
     """
     e = _element(cone, e)
     if cone.kind == ORTHANT:
-        return bool(np.min(e) >= tol)
+        return bool(np.min(e) >= ORDER_UNIT_TOL)
     if cone.kind == PSD:
-        return float(np.linalg.eigvalsh(e)[0]) >= tol
+        return float(np.linalg.eigvalsh(e)[0]) >= ORDER_UNIT_TOL
     G = cone.generators
     if np.linalg.matrix_rank(G) < cone.dim:
         return False
@@ -191,7 +197,7 @@ def is_order_unit(cone, e, tol=1e-9):
         return False
     import scipy.optimize
 
-    radius = tol * max(1.0, float(np.linalg.norm(e)))
+    radius = ORDER_UNIT_TOL * max(1.0, float(np.linalg.norm(e)))
     n, k = G.shape
     for i in range(n):
         for sign in (1.0, -1.0):
@@ -212,14 +218,14 @@ def is_order_unit(cone, e, tol=1e-9):
     return True
 
 
-def order_unit_norm(cone, e, x, tol=1e-9):
+def order_unit_norm(cone, e, x):
     """||x||_e = inf{lambda > 0 : -lambda e <= x <= lambda e}.
 
     Orthant: max_i |x_i| / e_i.  PSD with unit e = I: largest absolute
     eigenvalue of x.  General PSD e: largest absolute eigenvalue of
     e^{-1/2} x e^{-1/2}.  Polyhedral: bisection on cone membership.
     """
-    if not is_order_unit(cone, e, tol):
+    if not is_order_unit(cone, e):
         raise InvalidOrderUnitError("e is not an order unit of the cone")
     e = _element(cone, e)
     x = _element(cone, x)
@@ -233,7 +239,7 @@ def order_unit_norm(cone, e, x, tol=1e-9):
     return _order_unit_norm_bisect(cone, e, x)
 
 
-def _order_unit_norm_bisect(cone, e, x, rtol=1e-12):
+def _order_unit_norm_bisect(cone, e, x):
     def fits(lam):
         return cone_contains(cone, lam * e - x) and cone_contains(cone, lam * e + x)
 
@@ -245,7 +251,7 @@ def _order_unit_norm_bisect(cone, e, x, rtol=1e-12):
         if hi > 1e18:
             raise InvalidOrderUnitError("element not dominated by any multiple of e")
     lo = 0.0
-    while hi - lo > rtol * max(hi, 1.0):
+    while hi - lo > 1e-12 * max(hi, 1.0):
         mid = 0.5 * (lo + hi)
         if fits(mid):
             hi = mid
@@ -298,13 +304,14 @@ def _sample_cone_element(cone, rng):
     return cone.generators @ w
 
 
-def map_preserves_cone(cone, map_, mode="auto", samples=32, seed=0, tol=1e-10):
+def map_preserves_cone(cone, map_, mode="auto", samples=32, seed=0):
     """Does the linear map send the cone into itself?
 
-    Orthant maps are decided exactly (all entries >= -tol).  On the PSD
-    cone, only congruence maps P -> M'PM are decidable by form (pass a
-    CongruenceMap); any other map is falsified by seeded sampling, where
-    True means "no counterexample found".
+    Orthant maps are decided exactly (all entries >= -MEMBERSHIP_TOL
+    * max(1, max |M_ij|)).  On the PSD cone, only congruence maps
+    P -> M'PM are decidable by form (pass a CongruenceMap); any other map
+    is falsified by seeded sampling, where True means "no counterexample
+    found".
     """
     if isinstance(map_, CongruenceMap):
         if cone.kind != PSD:
@@ -317,7 +324,7 @@ def map_preserves_cone(cone, map_, mode="auto", samples=32, seed=0, tol=1e-10):
             f"map must act on dimension {cone.ambient_dim}, got {M.shape}"
         )
     if cone.kind == ORTHANT and mode in ("auto", "exact"):
-        bad = np.argwhere(M < -tol * max(1.0, float(np.abs(M).max())))
+        bad = np.argwhere(M < -MEMBERSHIP_TOL * max(1.0, float(np.abs(M).max())))
         if bad.size:
             j = int(bad[0][1])
             witness = np.zeros(cone.dim)
@@ -335,6 +342,6 @@ def map_preserves_cone(cone, map_, mode="auto", samples=32, seed=0, tol=1e-10):
         coords = sym_to_vec(x) if cone.kind == PSD else x
         image = M @ coords
         element = vec_to_sym(image, cone.dim) if cone.kind == PSD else image
-        if not cone_contains(cone, element, tol):
+        if not cone_contains(cone, element):
             return ConeMapResult(preserves=False, witness=x)
     return ConeMapResult(preserves=True, witness=None)

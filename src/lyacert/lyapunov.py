@@ -280,7 +280,7 @@ def _duality_vec(x, p):
     return np.sign(x) * np.abs(x / nx) ** (p - 1.0)
 
 
-def _projective_interval(R, p, n_samples=32, seed=0):
+def _projective_interval(R, p):
     n, m = R.shape
     q = dual_exponent(p)
 
@@ -313,10 +313,8 @@ def _projective_interval(R, p, n_samples=32, seed=0):
             continue
         P = np.outer(_duality_vec(Vt[k, :], p), _duality_vec(U[:, k], p))
         lower = max(lower, float(np.trace(P @ R)))  # ||P||_{p->q} <= 1 exactly
-    rng = np.random.default_rng(seed)
-    candidates = [np.sign(R.T)] + [
-        rng.standard_normal((m, n)) for _ in range(n_samples)
-    ]
+    rng = np.random.default_rng(0)
+    candidates = [np.sign(R.T)] + [rng.standard_normal((m, n)) for _ in range(32)]
     for P in candidates:
         ub = norm_ub(P)
         if ub > 0:
@@ -329,17 +327,18 @@ def _projective_interval(R, p, n_samples=32, seed=0):
 # RKHS factorization and Lyapunov solvers
 # ---------------------------------------------------------------------------
 
-def rkhs_factor(Q, rank_tol=1e-12, psd_tol=1e-9):
+def rkhs_factor(Q, rank_tol=1e-12):
     """Spectral factor C with C'C = Q for PSD Q.
 
     Rows of C span the reproducing-kernel coordinates of Q; eigenpairs
     with lambda < rank_tol * lambda_max are truncated, so C has
     numerical-rank-many rows and ||C'C - Q|| <= n * rank_tol * lambda_max.
+    Q counts as PSD down to lambda_min >= -1e-9 * max |lambda|.
     """
     Q = check_symmetric(Q, "Q")
     lam, U = np.linalg.eigh(Q)
     lam_max = float(lam[-1])
-    if lam[0] < -psd_tol * max(lam_max, -float(lam[0]), 1e-300):
+    if lam[0] < -1e-9 * max(lam_max, -float(lam[0]), 1e-300):
         raise NotPsdError(
             f"Q is not PSD: lambda_min = {lam[0]:.3e}"
         )
@@ -446,7 +445,7 @@ class SymOperator:
         return vec_to_sym(self.matrix @ sym_to_vec(P), self.n)
 
 
-def s_infinity_operator(A, verify=True):
+def s_infinity_operator(A):
     """Materialize -L_A^{-1} on Sym(n) coordinates.
 
     For stable A this is the map Q -> int_0^inf e^{tA'} Q e^{tA} dt; it is
@@ -458,7 +457,7 @@ def s_infinity_operator(A, verify=True):
     op = LyapunovOperator(A)
     S = -np.linalg.inv(op.matrix)
     result = SymOperator(n=A.shape[0], matrix=S)
-    if verify and spectral_abscissa(A) < 0.0:
+    if spectral_abscissa(A) < 0.0:
         n = A.shape[0]
         eye = np.eye(n)
         spanning = [np.outer(eye[i], eye[i]) for i in range(n)]

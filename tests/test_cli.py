@@ -73,6 +73,23 @@ class TestCertifyCommand:
         assert main(["certify", "--input", str(path)]) == 1
         assert f"unknown fields ['{field}']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, location", [
+        ("t0", -1, "t0"),
+        ("t0", 0, "t0"),
+        ("t0", float("nan"), "t0"),
+        ("tolerances", {"residual": "x"}, "tolerances.residual"),
+        ("tolerances", {"residual": float("nan")}, "tolerances.residual"),
+        ("tolerances", {"psd": -1e-9}, "tolerances.psd"),
+        ("tolerances", {"residul": 1e-8}, "tolerances.residul"),
+        ("tolerances", [["residual", 1e-8]], "tolerances"),
+    ])
+    def test_bad_t0_or_tolerance_exit_one(self, tmp_path, capsys, field, value,
+                                          location):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"A": [[-1.0]], "C": [[1.0]], field: value}))
+        assert main(["certify", "--input", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {location}: ")
+
 
 class TestSolveCommand:
     def test_direct_and_integral_agree(self, problem_file, capsys):
@@ -144,6 +161,18 @@ class TestBatch:
         assert len(certs) == 5
         verdicts = {c.name: json.loads(c.read_text())["verdict"] for c in certs}
         assert verdicts["stable_detectable.certificate.json"] == "ExponentiallyStable"
+
+    def test_batch_reports_bad_file_and_certifies_the_rest(self, tmp_path, capsys):
+        (tmp_path / "bad.json").write_text(
+            json.dumps({"A": [[-1.0]], "C": [[1.0]], "t0": -1}))
+        (tmp_path / "good.json").write_text(
+            json.dumps({"A": [[-1.0]], "C": [[1.0]]}))
+        assert main(["certify", "--batch", str(tmp_path), "--workers", "1"]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {tmp_path / 'bad.json'}: t0: " in captured.err
+        assert f"{tmp_path / 'good.json'}: ExponentiallyStable" in captured.out
+        cert = json.loads((tmp_path / "good.certificate.json").read_text())
+        assert cert["verdict"] == "ExponentiallyStable"
 
     def test_batch_empty_dir_errors(self, tmp_path, capsys):
         assert main(["certify", "--batch", str(tmp_path)]) == 1

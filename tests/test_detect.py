@@ -287,7 +287,6 @@ class TestReport:
             report = detectability_report(pair)
             assert not report.hautus and not report.exponential and not report.l2
             assert report.F is None
-            assert report.abscissa_on_unobservable > 0
 
     def test_detectable_report_carries_witness(self, rng):
         pair = random_observed_pair(rng, 4, 2, stable=False)
@@ -296,6 +295,20 @@ class TestReport:
             assert report.F is not None
             assert report.eps_star is not None and report.eps_star["t0"] == 1.0
 
+    @pytest.mark.parametrize("hidden", [False, True])
+    def test_hautus_runs_once(self, monkeypatch, hidden):
+        # the injection's precondition is the Hautus test; the report reuses it
+        import lyacert.detect
+
+        calls = []
+        original = lyacert.detect.hautus_detectable
+        monkeypatch.setattr(lyacert.detect, "hautus_detectable",
+                            lambda pair: calls.append(pair) or original(pair))
+        C = np.array([[0.0, 1.0]]) if hidden else np.array([[1.0, 0.0]])
+        report = detectability_report(ObservedPair(A=np.diag([1.0, -2.0]), C=C))
+        assert report.hautus is not hidden
+        assert len(calls) == 1
+
     def test_json_shape(self, rng):
         pair = random_observed_pair(rng, 3, 1, stable=True)
         d = detectability_report(pair, t0=0.5).to_dict()
@@ -303,8 +316,4 @@ class TestReport:
 
     def test_inconsistency_raises(self):
         with pytest.raises(InternalInconsistencyError):
-            DetectabilityReport(
-                hautus=True, exponential=False, F=None, l2=True,
-                unobservable_basis=np.zeros((2, 0)),
-                abscissa_on_unobservable=None,
-            )
+            DetectabilityReport(hautus=True, exponential=False, F=None, l2=True)
