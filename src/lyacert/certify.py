@@ -33,6 +33,7 @@ from .linalg import (
     expm_grid,
     growth_fit,
     spectral_abscissa,
+    spectrum_is_psd,
 )
 from .lyapunov import (
     lyap_apply,
@@ -116,6 +117,7 @@ class ProblemSpec:
             object.__setattr__(self, "Q", Q)
         if self.t0 is not None:
             _check_positive_number(self.t0, "t0")
+            object.__setattr__(self, "t0", float(self.t0))
         if not isinstance(self.tolerances, dict):
             raise ProblemFormatError("must be an object", location="tolerances")
         for key, value in self.tolerances.items():
@@ -167,7 +169,7 @@ def problem_from_dict(d):
             A=np.asarray(d["A"], dtype=float),
             C=None if d.get("C") is None else np.asarray(d["C"], dtype=float),
             Q=None if d.get("Q") is None else np.asarray(d["Q"], dtype=float),
-            t0=None if d.get("t0") is None else float(d["t0"]),
+            t0=d.get("t0"),
             tolerances=d.get("tolerances", {}),
         )
     except (TypeError, ValueError) as exc:
@@ -309,9 +311,7 @@ def wonham_certify(spec):
 
     residual = float(np.linalg.norm(lyap_apply(A, P) + Q))
     lam = np.linalg.eigvalsh(P)
-    lam_min = float(lam[0])
-    scale = max(float(np.abs(lam).max()), 1e-300)  # ||P||_2, P symmetric
-    if lam_min >= -tols["psd"] * scale:
+    if spectrum_is_psd(lam, tols["psd"]):
         growth = growth_fit(A, abscissa)
         P_int = lyap_solve_integral(A, Q)
         gap = np.linalg.norm(P_int - P) / max(np.linalg.norm(P), 1.0)
@@ -325,7 +325,7 @@ def wonham_certify(spec):
         VERDICT_UNSTABLE,
         P=P,
         residual=residual,
-        reason=f"solution indefinite: lambda_min = {lam_min:.6e}",
+        reason=f"solution indefinite: lambda_min = {lam[0]:.6e}",
     )
 
 

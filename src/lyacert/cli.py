@@ -5,6 +5,7 @@ Exit codes for `certify`: 0 certified stable, 2 unstable, 3 inconclusive,
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -28,6 +29,21 @@ from .linalg import NormInterval, induced_norm, nuclear_norm
 from .semigroup import SemigroupProbe, lemma_AS_suite
 
 VERDICT_EXIT = {VERDICT_STABLE: 0, VERDICT_UNSTABLE: 2, VERDICT_INCONCLUSIVE: 3}
+
+_POSITIVE = ("must be a finite number above 0", lambda v: math.isfinite(v) and v > 0)
+_COUNT = ("must be at least 1", lambda v: v >= 1)
+#: range of each numeric flag, checked in main: argparse type errors would
+#: exit 2, which certify reserves for Unstable
+FLAG_RANGES = {
+    "t0": _POSITIVE,
+    "horizon": _POSITIVE,
+    "p": ("must be a finite number of at least 1",
+          lambda v: math.isfinite(v) and v >= 1),
+    "steps": _COUNT,
+    "n": _COUNT,
+    "workers": _COUNT,
+    "seed": ("must be at least 0", lambda v: v >= 0),
+}
 
 
 def _load_problem(path):
@@ -231,6 +247,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag, (need, ok) in FLAG_RANGES.items():
+        value = getattr(args, flag, None)
+        if value is not None and not ok(value):
+            print(f"error: --{flag}: {need}, got {value}", file=sys.stderr)
+            return 1
     try:
         return args.func(args)
     except LyacertError as exc:

@@ -21,6 +21,7 @@ from .linalg import (
     as_square,
     as_vector,
     check_symmetric,
+    spectrum_is_psd,
     sym_dim,
     sym_to_vec,
     vec_to_sym,
@@ -132,8 +133,7 @@ def cone_contains(cone, x):
     if cone.kind == ORTHANT:
         return bool(np.min(x) >= -_scaled_tol(x))
     if cone.kind == PSD:
-        lam_min = float(np.linalg.eigvalsh(x)[0])
-        return lam_min >= -MEMBERSHIP_TOL * max(1.0, float(np.linalg.norm(x, 2)))
+        return spectrum_is_psd(np.linalg.eigvalsh(x), MEMBERSHIP_TOL, floor=1.0)
     import scipy.optimize
 
     _, resid = scipy.optimize.nnls(cone.generators, x)
@@ -275,15 +275,12 @@ class CongruenceMap:
         return 0.5 * (out + out.T)
 
     def matrix(self):
-        """Representation on orthonormal Sym(n) coordinates."""
+        """Representation on orthonormal Sym(n) coordinates: column k holds
+        the coordinates of the image of the k-th basis element."""
         n = self.M.shape[0]
-        d = sym_dim(n)
-        L = np.empty((d, d))
-        for j in range(d):
-            v = np.zeros(d)
-            v[j] = 1.0
-            L[:, j] = sym_to_vec(self.apply(vec_to_sym(v, n)))
-        return L
+        return np.column_stack(
+            [sym_to_vec(self.apply(vec_to_sym(e, n))) for e in np.eye(sym_dim(n))]
+        )
 
 
 class ConeMapResult(NamedTuple):

@@ -33,6 +33,7 @@ __all__ = [
     "gramian_doubling",
     "eigenvalues",
     "spectral_abscissa",
+    "spectrum_is_psd",
     "growth_fit",
     "induced_norm",
     "nuclear_norm",
@@ -292,6 +293,12 @@ def spectral_abscissa(A):
     return float(np.max(eigenvalues(A).real))
 
 
+def spectrum_is_psd(lam, rtol, floor=1e-300):
+    """Whether ascending eigenvalues lam of a symmetric matrix make it PSD
+    up to a relative slack: lam[0] >= -rtol * max(floor, max |lam|)."""
+    return bool(lam[0] >= -rtol * max(floor, -float(lam[0]), float(lam[-1])))
+
+
 #: safety margin between the spectral bound and the envelope's decay rate
 GROWTH_MARGIN = 0.05
 
@@ -447,38 +454,36 @@ def sym_dim(n):
 def sym_basis(n):
     """Orthonormal basis of Sym(n) inside R^{n^2} (column-major vec).
 
-    Columns of the returned (n^2, n(n+1)/2) matrix are vec(E) for
-    E = e_i e_i' (diagonal) and (e_i e_j' + e_j e_i') / sqrt(2) (i < j),
+    Columns of the returned (n^2, n(n+1)/2) matrix are vec(E) in the
+    coordinate order of sym_to_vec: first E = e_i e_i' for i = 0..n-1, then
+    E = (e_i e_j' + e_j e_i') / sqrt(2) for i < j in row-major order;
     orthonormal under the Frobenius inner product.
     """
     d = sym_dim(n)
     B = np.zeros((n * n, d))
-    col = 0
-    for i in range(n):
-        E = np.zeros((n, n))
-        E[i, i] = 1.0
-        B[:, col] = E.ravel(order="F")
-        col += 1
+    diag = np.arange(n)
+    B[diag * (n + 1), diag] = 1.0
+    i, j = np.triu_indices(n, 1)
+    cols = np.arange(n, d)
     s = 1.0 / math.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            E = np.zeros((n, n))
-            E[i, j] = s
-            E[j, i] = s
-            B[:, col] = E.ravel(order="F")
-            col += 1
+    B[i + j * n, cols] = s
+    B[j + i * n, cols] = s
     return B
 
 
 def sym_to_vec(P):
-    """Coordinates of a symmetric matrix in the orthonormal Sym(n) basis."""
+    """Coordinates of a symmetric matrix in the orthonormal Sym(n) basis: the
+    diagonal P[i, i], then sqrt(2) P[i, j] for i < j in row-major order."""
     P = check_symmetric(P, "P")
-    n = P.shape[0]
-    return sym_basis(n).T @ P.ravel(order="F")
+    i, j = np.triu_indices(P.shape[0], 1)
+    return np.concatenate([np.diag(P), math.sqrt(2.0) * P[i, j]])
 
 
 def vec_to_sym(v, n):
-    """Inverse of sym_to_vec."""
+    """Inverse of sym_to_vec: the first n coordinates fill the diagonal, the
+    rest fill P[i, j] = P[j, i] (i < j, row-major order) scaled by 1/sqrt(2)."""
     v = as_vector(v, sym_dim(n), "coordinates")
-    flat = sym_basis(n) @ v
-    return flat.reshape((n, n), order="F")
+    P = np.diag(v[:n])
+    i, j = np.triu_indices(n, 1)
+    P[i, j] = P[j, i] = (1.0 / math.sqrt(2.0)) * v[n:]
+    return P

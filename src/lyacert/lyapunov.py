@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
+from .cones import ConeSpec, decompose_pm
 from .exceptions import (
     DimensionError,
     DivergenceError,
@@ -36,6 +37,7 @@ from .linalg import (
     induced_norm,
     nuclear_norm,
     spectral_abscissa,
+    spectrum_is_psd,
     sym_basis,
     sym_to_vec,
     vec_to_sym,
@@ -157,20 +159,12 @@ def grothendieck_decompose(rho):
 
 
 def positive_negative_split(rho):
-    """rho = rho+ - rho- with both parts PSD coefficient grids."""
-    terms = grothendieck_decompose(rho)
-    n = rho.dim
-    plus = np.zeros((n, n))
-    minus = np.zeros((n, n))
-    for a, u in terms:
-        if a >= 0:
-            plus += a * np.outer(u, u)
-        else:
-            minus += -a * np.outer(u, u)
-    return (
-        Tensor2(coeffs=0.5 * (plus + plus.T), symmetric=True, p=rho.p),
-        Tensor2(coeffs=0.5 * (minus + minus.T), symmetric=True, p=rho.p),
-    )
+    """rho = rho+ - rho- with both parts PSD coefficient grids: the spectral
+    split cones.decompose_pm of the grid on the PSD cone."""
+    if not rho.symmetric:
+        raise ValueError("positive_negative_split requires the symmetric flag")
+    parts = decompose_pm(ConeSpec.psd(rho.dim), rho.coeffs)
+    return tuple(Tensor2(coeffs=R, symmetric=True, p=rho.p) for R in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +332,7 @@ def rkhs_factor(Q, rank_tol=1e-12):
     Q = check_symmetric(Q, "Q")
     lam, U = np.linalg.eigh(Q)
     lam_max = float(lam[-1])
-    if lam[0] < -1e-9 * max(lam_max, -float(lam[0]), 1e-300):
+    if not spectrum_is_psd(lam, 1e-9):
         raise NotPsdError(
             f"Q is not PSD: lambda_min = {lam[0]:.3e}"
         )
@@ -404,9 +398,9 @@ def lyap_solve_integral(A, Q):
     """
     A = as_square(A, "A")
     Q = check_symmetric(Q, "Q")
-    lam_min_q = float(np.linalg.eigvalsh(Q)[0])
-    if lam_min_q < -1e-9 * max(float(np.linalg.norm(Q, 2)), 1e-300):
-        raise NotPsdError(f"Q is not PSD: lambda_min = {lam_min_q:.3e}")
+    lam_q = np.linalg.eigvalsh(Q)
+    if not spectrum_is_psd(lam_q, 1e-9):
+        raise NotPsdError(f"Q is not PSD: lambda_min = {lam_q[0]:.3e}")
     step = 1.0 / (1.0 + float(np.linalg.norm(A, 1)))
     P = np.zeros_like(Q)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -468,11 +462,11 @@ def s_infinity_operator(A):
         ]
         for Qb in spanning:
             P = result.apply(Qb)
-            lam_min = float(np.linalg.eigvalsh(P)[0])
-            if lam_min < -1e-9 * max(float(np.linalg.norm(P, 2)), 1e-300):
+            lam = np.linalg.eigvalsh(P)
+            if not spectrum_is_psd(lam, 1e-9):
                 raise InternalInconsistencyError(
                     "-L_A^{-1} image of a PSD element is not PSD for stable A",
-                    diagnostics={"lambda_min": lam_min},
+                    diagnostics={"lambda_min": float(lam[0])},
                 )
             P_direct = lyap_solve_direct(A, Qb)
             if np.linalg.norm(P - P_direct) > 1e-8 * max(

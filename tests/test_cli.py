@@ -82,6 +82,9 @@ class TestCertifyCommand:
         ("tolerances", {"psd": -1e-9}, "tolerances.psd"),
         ("tolerances", {"residul": 1e-8}, "tolerances.residul"),
         ("tolerances", [["residual", 1e-8]], "tolerances"),
+        ("t0", "1.5", "t0"),
+        ("t0", True, "t0"),
+        ("t0", "x", "t0"),
     ])
     def test_bad_t0_or_tolerance_exit_one(self, tmp_path, capsys, field, value,
                                           location):
@@ -192,3 +195,29 @@ class TestGalleryAndAudit:
         out = json.loads(capsys.readouterr().out)
         assert out["pass"] is True
         assert out["max_residuals"]["AS_eq_T_minus_I"] <= 1e-8
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("argv, flag", [
+        (["observe", "--t0", "-1"], "t0"),
+        (["observe", "--t0", "nan"], "t0"),
+        (["observe", "--t0", "inf"], "t0"),
+        (["probe", "--horizon", "1", "--steps", "0"], "steps"),
+        (["probe", "--horizon", "nan", "--steps", "5"], "horizon"),
+        (["probe", "--horizon", "-1", "--steps", "5"], "horizon"),
+        (["norms", "--p", "0.5"], "p"),
+        (["norms", "--p", "inf"], "p"),
+        (["audit-lemmas", "--n", "0"], "n"),
+        (["audit-lemmas", "--seed", "-1"], "seed"),
+        (["certify", "--workers", "0"], "workers"),
+    ])
+    def test_bad_value_exit_one(self, problem_file, tmp_path, capsys, argv, flag):
+        rest = {
+            "observe": ["--input", problem_file],
+            "probe": ["--input", problem_file, "--csv", str(tmp_path / "p.csv")],
+            "norms": ["--input", problem_file],
+            "audit-lemmas": [],
+            "certify": ["--batch", str(tmp_path)],
+        }[argv[0]]
+        assert main(argv + rest) == 1
+        assert capsys.readouterr().err.startswith(f"error: --{flag}: ")

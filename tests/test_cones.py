@@ -15,7 +15,7 @@ from lyacert.cones import (
     order_unit_norm,
 )
 from lyacert.exceptions import InvalidOrderUnitError, UnsupportedConeOperation
-from lyacert.linalg import induced_norm, sym_to_vec
+from lyacert.linalg import induced_norm, sym_basis, sym_to_vec
 
 from conftest import random_psd, random_symmetric
 
@@ -30,6 +30,8 @@ class TestMembership:
         cone = ConeSpec.psd(2)
         assert not cone_contains(cone, np.diag([1.0, -1.0]))
         assert cone_contains(cone, np.array([[1.0, 1.0], [1.0, 1.0]]))
+        # the slack has an absolute floor: 1e-10 * max(1, ||x||)
+        assert cone_contains(cone, np.diag([1e-3, -5e-11]))
 
     def test_polyhedral(self):
         cone = ConeSpec.polyhedral(np.array([[1.0, 1.0], [0.0, 1.0]]))
@@ -199,13 +201,17 @@ class TestMapPreservesCone:
         assert map_preserves_cone(cone, cmap).preserves
 
     def test_congruence_lift_acts_correctly(self, rng):
-        M = rng.standard_normal((3, 3))
-        cmap = CongruenceMap(M=M)
-        L = cmap.matrix()
-        P = random_symmetric(rng, 3)
-        np.testing.assert_allclose(
-            L @ sym_to_vec(P), sym_to_vec(M.T @ P @ M), atol=1e-12
-        )
+        for n in (3, 30):
+            M = rng.standard_normal((n, n))
+            cmap = CongruenceMap(M=M)
+            L = cmap.matrix()
+            P = random_symmetric(rng, n)
+            np.testing.assert_allclose(
+                L @ sym_to_vec(P), sym_to_vec(M.T @ P @ M), atol=1e-12
+            )
+            # Kronecker oracle: vec(M'PM) = (M' (x) M') vec(P)
+            B = sym_basis(n)
+            np.testing.assert_allclose(L, B.T @ np.kron(M.T, M.T) @ B, atol=1e-12)
 
     def test_psd_randomized_finds_violation(self):
         # flips the sign of the E_11 coordinate: sends E_11 to -E_11

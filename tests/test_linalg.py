@@ -328,10 +328,24 @@ class TestSymCoordinates:
             np.testing.assert_allclose(B.T @ B, np.eye(B.shape[1]), atol=1e-14)
 
     def test_roundtrip(self, rng):
-        for n in (2, 3, 5):
+        for n in (1, 2, 3, 5, 40):
             P = rng.standard_normal((n, n))
             P = 0.5 * (P + P.T)
             np.testing.assert_allclose(vec_to_sym(sym_to_vec(P), n), P, atol=1e-14)
+
+    def test_coordinates_match_basis(self, rng):
+        # sym_basis and the index arithmetic of sym_to_vec / vec_to_sym are
+        # separate code and must agree on the coordinate order
+        for n in (1, 2, 5):
+            B = sym_basis(n)
+            for k, e in enumerate(np.eye(B.shape[1])):
+                E = vec_to_sym(e, n)
+                np.testing.assert_array_equal(B[:, k], E.ravel(order="F"))
+            P = rng.standard_normal((n, n))
+            P = 0.5 * (P + P.T)
+            np.testing.assert_allclose(
+                sym_to_vec(P), B.T @ P.ravel(order="F"), rtol=1e-15, atol=1e-15
+            )
 
     def test_inner_product_preserved(self, rng):
         n = 4

@@ -228,9 +228,11 @@ class TestSymmetricCalculus:
             assert np.linalg.eigvalsh(minus.coeffs)[0] >= -1e-12
 
     def test_asymmetric_rejected(self, rng):
-        rho = Tensor2(coeffs=rng.standard_normal((3, 3)))
-        with pytest.raises(ValueError):
-            grothendieck_decompose(rho)
+        # the flag decides, not the grid: an unflagged identity is rejected too
+        for rho in (Tensor2(coeffs=rng.standard_normal((3, 3))), Tensor2(np.eye(3))):
+            for split in (grothendieck_decompose, positive_negative_split):
+                with pytest.raises(ValueError):
+                    split(rho)
 
 
 class TestRkhsFactor:
