@@ -10,7 +10,6 @@ detectability/observability tests.
 __version__ = "0.3.0"
 
 from .exceptions import (  # noqa: F401
-    DefectiveMatrixError,
     DimensionError,
     DivergenceError,
     InternalInconsistencyError,

@@ -74,8 +74,12 @@ DEFAULT_TOLERANCES = {
 # ---------------------------------------------------------------------------
 
 def _check_positive_number(value, location):
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not (math.isfinite(value) and value > 0):
+    try:
+        ok = not isinstance(value, bool) and isinstance(value, numbers.Real) \
+            and math.isfinite(value) and value > 0
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
         raise ProblemFormatError(
             f"must be a finite number above 0, got {value!r}", location=location
         )
@@ -172,7 +176,7 @@ def problem_from_dict(d):
             t0=d.get("t0"),
             tolerances=d.get("tolerances", {}),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ProblemFormatError):
             raise
         raise ProblemFormatError(str(exc)) from exc
@@ -182,7 +186,7 @@ def parse_problem(text, location="<problem>"):
     """Parse a problem from JSON text."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer beyond Python's digit limit
         raise ProblemFormatError(f"invalid JSON: {exc}", location=location) from exc
     return problem_from_dict(data)
 

@@ -103,6 +103,8 @@ def _certify_batch(in_dir, out_dir, workers):
         print("error: no problem files found", file=sys.stderr)
         return 1
     failed = 0
+    # the fork start method launches every worker up front
+    workers = min(workers or os.cpu_count() or 1, len(jobs))
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         for in_path, verdict, err in pool.map(_certify_one, jobs):
             if err is not None:

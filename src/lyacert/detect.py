@@ -22,6 +22,7 @@ from .exceptions import (
     NoInjectionExistsError,
     NotObserverError,
     NotStableError,
+    NumericalError,
 )
 from .linalg import (
     DECAY_TOL,
@@ -174,6 +175,10 @@ def stabilizing_output_injection(pair):
         except np.linalg.LinAlgError as exc:
             raise MarginalSpectrumError(
                 f"Riccati Hamiltonian has imaginary-axis eigenvalues: {exc}"
+            ) from exc
+        except ValueError as exc:  # e.g. a failed QZ reordering
+            raise NumericalError(
+                f"output injection: Riccati solve failed: {exc}"
             ) from exc
         F = sigma @ C.T
     alpha = spectral_abscissa(A - F @ C)

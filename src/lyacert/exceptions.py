@@ -42,11 +42,6 @@ class NotPsdError(LyacertError, ValueError):
     """A matrix required to be positive semidefinite is not."""
 
 
-class DefectiveMatrixError(LyacertError, ValueError):
-    """Eigenvector basis too ill-conditioned for residue analysis and the
-    heuristic fallback is disabled."""
-
-
 class NoInjectionExistsError(LyacertError, ValueError):
     """The pair is not detectable: no stabilizing output injection exists."""
 

@@ -4,10 +4,11 @@ Trajectories of T(t) = e^{tA}, stability analyses (exponential, weak-L1 on
 a cone), the S_infinity = -A^{-1} construction, and a verification harness
 for the integrated-semigroup identities.
 
-Improper integrals int_0^inf <phi, T(t)x> dt are decided by eigenstructure
-(residue coefficients of the non-decaying modes), never by quadrature; a
-horizon-doubling heuristic exists only as a clearly flagged fallback for
-defective generators.
+Improper integrals int_0^inf <phi, T(t)x> dt are decided without
+eigenvectors or quadrature, so defective generators get exact answers: on
+the orthant from the graph of A and the M-matrix test on its strongly
+connected classes, on other cones from the spectrum of A restricted to the
+cone's span.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,6 @@ import numpy as np
 
 from .cones import ORTHANT, PSD, ConeSpec, map_preserves_cone
 from .exceptions import (
-    DefectiveMatrixError,
     DimensionError,
     InternalInconsistencyError,
     NotStableError,
@@ -25,7 +25,6 @@ from .exceptions import (
 )
 from .linalg import (
     ABSCISSA_TOL,
-    DECAY_TOL,
     GROWTH_MARGIN,
     GrowthBound,
     SpaceNorm,
@@ -54,10 +53,6 @@ __all__ = [
     "lemma_AS_suite",
     "stability_report",
 ]
-
-#: eigenvector-basis condition number beyond which A is treated as defective
-EIGEN_COND_LIMIT = 1e8
-
 
 def is_metzler(A):
     """Off-diagonal entries >= 0, with no slack: positivity is structural."""
@@ -104,7 +99,6 @@ class SemigroupProbe:
 class WeakL1Result(NamedTuple):
     stable: bool
     witness: Optional[tuple]  # failing (phi, x) pair
-    exact: bool  # False when the horizon-doubling fallback decided
 
 
 class DetectorResult(NamedTuple):
@@ -113,117 +107,105 @@ class DetectorResult(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Eigen-residue machinery
+# Weak-L1 stability and weak detectors
 # ---------------------------------------------------------------------------
 
-def _eigen_system(A):
-    w, V = np.linalg.eig(A)
-    cond = np.linalg.cond(V)
-    if not np.isfinite(cond) or cond > EIGEN_COND_LIMIT:
-        raise DefectiveMatrixError(
-            f"eigenvector basis condition {cond:.2e} exceeds {EIGEN_COND_LIMIT:.0e}; "
-            "treating the generator as defective"
-        )
-    return w, V, np.linalg.inv(V)
+def _integrable(A):
+    """finite[j, i] is True iff int_0^inf (e^{tA})_{ji} dt < inf, for
+    Metzler A.
 
-
-def _pair_integral_finite(w, V, Vinv, phi, x):
-    """Is int_0^inf <phi, e^{tA} x> dt finite?  <phi, T(t)x> is a sum of
-    c_k e^{lambda_k t}; for a positive pairing the integral is finite iff
-    every coefficient on a non-decaying mode vanishes (|c_k| at most
-    1e-9 * max(1, ||phi|| ||x||))."""
-    c = (V.T @ phi) * (Vinv @ x)
-    scale = 1e-9 * max(1.0, float(np.linalg.norm(phi) * np.linalg.norm(x)))
-    bad = (w.real >= -DECAY_TOL) & (np.abs(c) > scale)
-    return not bool(np.any(bad))
-
-
-def _cone_pairs(probe):
-    """Generator pairs (phi, x) whose integrability decides weak-L1
-    stability on the cone.  Orthant: coordinate pairs (e_j, e_i).  PSD: the
-    single order-unit pair (I, I), which dominates every cone pair for a
-    positive semigroup."""
-    cone = probe.cone
-    n = probe.dim
-    if cone.kind == ORTHANT:
-        eye = np.eye(n)
-        return [(eye[j], eye[i]) for j in range(n) for i in range(n)]
-    if cone.kind == PSD:
-        unit = sym_to_vec(np.eye(cone.dim))
-        return [(unit, unit)]
-    return None  # polyhedral: dual generators unavailable, fallback only
-
-
-def weak_L1_stable_on_cone(probe, fallback=True):
-    """Decide int_0^inf <phi, T(t)x> dt < inf for all phi, x >= 0.
-
-    Exact path (diagonalizable A): residue test on the cone's generator
-    pairs.  The fallback monitors <phi, S(t)x> growth over doubling
-    horizons and is flagged non-exact in the result.
+    (e^{tA})_{ji} > 0 for t > 0 iff j is reachable from i in the graph of A
+    (edge i -> j when A_ji != 0), and the entry is integrable iff every
+    strongly connected class K on a path i -> K -> j decays.  K decays iff
+    -(A_KK + ABSCISSA_TOL I) is a nonsingular M-matrix, i.e. iff
+    (A_KK + ABSCISSA_TOL I) y = -1 has a solution y > 0 (Berman & Plemmons,
+    Nonnegative Matrices in the Mathematical Sciences, 1994, ch. 6).
     """
-    if probe.cone is None:
-        raise ValueError("probe has no cone")
-    pairs = _cone_pairs(probe)
-    if pairs is not None:
+    n = A.shape[0]
+    reach = (A != 0) | np.eye(n, dtype=bool)  # reach[j, i]: path i -> j
+    for k in range(n):  # Warshall closure
+        reach |= reach[:, k:k + 1] & reach[k:k + 1, :]
+    classes = reach & reach.T
+    bad = np.zeros(n, dtype=bool)  # members of non-decaying classes
+    for i in range(n):
+        K = np.flatnonzero(classes[i])
+        if K[0] < i:
+            continue  # class decided at its first member
         try:
-            w, V, Vinv = _eigen_system(probe.A)
-        except DefectiveMatrixError:
-            if not fallback:
-                raise
-        else:
-            for phi, x in pairs:
-                if not _pair_integral_finite(w, V, Vinv, phi, x):
-                    return WeakL1Result(stable=False, witness=(phi, x), exact=True)
-            return WeakL1Result(stable=True, witness=None, exact=True)
-    if not fallback:
-        raise DefectiveMatrixError(
-            "exact path unavailable and fallback disabled"
-        )
-    return _weak_L1_fallback(probe)
+            y = np.linalg.solve(A[np.ix_(K, K)] + ABSCISSA_TOL * np.eye(K.size),
+                                -np.ones(K.size))
+        except np.linalg.LinAlgError:
+            y = -np.ones(K.size)
+        bad[K] = not np.all(y > 0)
+    through_bad = reach[:, bad].astype(int) @ reach[bad, :].astype(int)
+    return through_bad == 0
 
 
-def _weak_L1_fallback(probe):
-    """Heuristic: S(t)x is monotone in the cone order, so weak-L1 stability
-    on a cone with generating dual is equivalent to ||S(t)x|| staying
-    bounded for the cone's generators, sampled at t = 1, 2, 4, ..., 64."""
+def weak_L1_stable_on_cone(probe):
+    """Decide int_0^inf <phi, T(t)x> dt < inf for all phi in K*, x in K.
+
+    Orthant: entrywise, from the graph of A (exact for defective A); the
+    witness is the first failing coordinate pair (e_j, e_i) in row-major
+    order.  PSD and polyhedral cones: a pointed cone has a generating dual,
+    so finite integrals for every phi in K* and x in K give
+    int ||T(t)v|| dt < inf on span K, which at finite dimension
+    (Datko-Pazy) is exponential stability of A restricted to span K.  A
+    generator that does not leave span K invariant cannot be positive on K
+    and is refused with ValueError.
+    """
     cone = probe.cone
+    if cone is None:
+        raise ValueError("probe has no cone")
+    A = probe.A
     if cone.kind == ORTHANT:
-        gens = list(np.eye(probe.dim))
-    elif cone.kind == PSD:
-        gens = [sym_to_vec(np.eye(cone.dim))]
+        failing = np.argwhere(~_integrable(A))
+        if failing.size:
+            eye = np.eye(probe.dim)
+            j, i = failing[0]
+            return WeakL1Result(stable=False, witness=(eye[j], eye[i]))
+        return WeakL1Result(stable=True, witness=None)
+    if cone.kind == PSD:
+        restricted = A
+        unit = sym_to_vec(np.eye(cone.dim))
+        witness = (unit, unit)
     else:
-        gens = [cone.generators[:, j] for j in range(cone.generators.shape[1])]
-    for x in gens:
-        vals = [float(np.linalg.norm(integral_exp(probe.A, 2.0**k) @ x))
-                for k in range(7)]
-        # converged: the last doubling changed the value by < 1%
-        if vals[-2] > 0 and vals[-1] > 1.01 * vals[-2] + 1e-12:
-            return WeakL1Result(stable=False, witness=(None, x), exact=False)
-    return WeakL1Result(stable=True, witness=None, exact=False)
+        G = cone.generators
+        U, s, _ = np.linalg.svd(G, full_matrices=False)
+        V = U[:, s > s[0] * max(G.shape) * np.finfo(float).eps]
+        restricted = V.T @ A @ V
+        gap = np.linalg.norm(A @ V - V @ restricted)
+        if gap > 1e-8 * max(np.linalg.norm(A), 1.0):
+            raise ValueError(
+                f"generator does not leave the cone's span invariant "
+                f"(residual {gap:.2e}), so its semigroup is not positive"
+            )
+        witness = (None, G.sum(axis=1))
+    if spectral_abscissa(restricted) < -ABSCISSA_TOL:
+        return WeakL1Result(stable=True, witness=None)
+    return WeakL1Result(stable=False, witness=witness)
 
 
 def weak_detector_check(probe, z):
-    """Is z a weak-L1 detector: does finiteness of int <phi, T(t)z> force
-    finiteness of int <phi, T(t)x> for every positive x?
+    """Is z >= 0 a weak-L1 detector: does finiteness of int <phi, T(t)z>
+    force finiteness of int <phi, T(t)x> for every positive x?
 
-    Requires an orthant cone with Metzler diagonalizable A.  Positivity
-    reduces the quantifier over phi >= 0 to the coordinate functionals:
-    the premise holds for phi = sum a_j e_j (a_j >= 0) iff it holds for
-    every e_j in its support, so a singleton support is the worst case.
+    Requires an orthant cone (Metzler A); z need not be an order unit.
+    Positivity reduces the quantifier over phi >= 0 to the coordinate
+    functionals: the premise holds for phi = sum a_j e_j (a_j >= 0) iff it
+    holds for every e_j in its support, so a singleton support is the worst
+    case.  The premise for e_j holds iff row j of the integrability matrix
+    is finite on the support of z.
     """
     if probe.cone is None or probe.cone.kind != ORTHANT:
         raise ValueError("weak detector check requires an orthant cone")
     z = as_vector(z, probe.dim, "z")
-    w, V, Vinv = _eigen_system(probe.A)
-    n = probe.dim
-    eye = np.eye(n)
-    for j in range(n):
-        phi = eye[j]
-        if not _pair_integral_finite(w, V, Vinv, phi, z):
-            continue  # premise fails for this functional
-        for i in range(n):
-            if not _pair_integral_finite(w, V, Vinv, phi, eye[i]):
-                return DetectorResult(is_detector=False, witness=phi)
+    if np.any(z < 0):
+        raise ValueError("z must be positive: it has a negative entry")
+    finite = _integrable(probe.A)
+    blind = finite[:, z > 0].all(axis=1) & ~finite.all(axis=1)
+    if blind.any():
+        return DetectorResult(is_detector=False,
+                              witness=np.eye(probe.dim)[np.argmax(blind)])
     return DetectorResult(is_detector=True, witness=None)
 
 
@@ -355,7 +337,6 @@ class StabilityReport:
     growth: Optional[GrowthBound]
     weak_L1_on_cone: Optional[bool]
     weak_L1_witness: Optional[tuple]
-    weak_L1_exact: Optional[bool]
     L1_pi: bool
 
     def __post_init__(self):
@@ -376,7 +357,6 @@ class StabilityReport:
             if self.growth is None
             else {"M": self.growth.M, "eps": self.growth.eps},
             "weak_L1_on_cone": self.weak_L1_on_cone,
-            "weak_L1_exact": self.weak_L1_exact,
             "L1_pi": self.L1_pi,
         }
         return d
@@ -393,6 +373,5 @@ def stability_report(probe):
         growth=growth,
         weak_L1_on_cone=None if weak is None else weak.stable,
         weak_L1_witness=None if weak is None else weak.witness,
-        weak_L1_exact=None if weak is None else weak.exact,
         L1_pi=exponential,
     )

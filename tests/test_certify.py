@@ -158,6 +158,7 @@ class TestWonhamCertify:
             "cert = wonham_certify(ProblemSpec(A=A, C=np.array([[1.0, 0.0]])))\n"
             "assert cert.verdict == 'ExponentiallyStable', cert.verdict\n"
             "assert 'scipy.optimize' not in sys.modules\n"
+            "assert 'scipy.sparse' not in sys.modules\n"
         )
         src = os.path.dirname(os.path.dirname(lyacert.__file__))
         env = dict(os.environ, PYTHONPATH=src)

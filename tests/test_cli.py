@@ -53,6 +53,29 @@ class TestCertifyCommand:
         assert main(["certify", "--input", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "ExponentiallyStable"
 
+    @pytest.mark.parametrize("text", [
+        '{"A": [[-1%s]], "C": [[1.0]]}' % ("0" * 400),
+        '{"A": [[-1.0]], "C": [[1.0]], "t0": 1%s}' % ("0" * 5000),
+    ], ids=["matrix-entry-beyond-float", "integer-beyond-digit-limit"])
+    def test_huge_integer_literal_exit_one(self, tmp_path, capsys, text):
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        assert main(["certify", "--input", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_ill_conditioned_riccati_no_traceback(self, tmp_path, capsys):
+        # scaled by 1e-6, the pencil reordering inside the Riccati solve may
+        # fail; that must come out as an error line, not a traceback
+        r = np.random.default_rng(0)
+        A = r.standard_normal((8, 8)) / np.sqrt(8)
+        A -= (max(np.linalg.eigvals(A).real) + 0.5) * np.eye(8)
+        C = r.standard_normal((2, 8))
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps({"A": (1e-6 * (A + np.eye(8))).tolist(),
+                                    "C": C.tolist()}))
+        assert main(["certify", "--input", str(path)]) in (0, 1, 2, 3)
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_missing_file_exit_one(self, capsys):
         assert main(["certify", "--input", "/nonexistent.json"]) == 1
         assert "error" in capsys.readouterr().err
@@ -85,6 +108,9 @@ class TestCertifyCommand:
         ("t0", "1.5", "t0"),
         ("t0", True, "t0"),
         ("t0", "x", "t0"),
+        pytest.param("t0", 10**400, "t0", id="t0-beyond-float"),
+        pytest.param("tolerances", {"psd": 10**400}, "tolerances.psd",
+                     id="tolerance-beyond-float"),
     ])
     def test_bad_t0_or_tolerance_exit_one(self, tmp_path, capsys, field, value,
                                           location):
@@ -176,6 +202,33 @@ class TestBatch:
         assert f"{tmp_path / 'good.json'}: ExponentiallyStable" in captured.out
         cert = json.loads((tmp_path / "good.certificate.json").read_text())
         assert cert["verdict"] == "ExponentiallyStable"
+
+    def test_batch_forks_no_more_workers_than_files(self, tmp_path, capsys,
+                                                    monkeypatch):
+        import concurrent.futures
+
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers=None):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InProcessPool)
+        for name in ("a.json", "b.json"):
+            (tmp_path / name).write_text(
+                json.dumps({"A": [[-1.0]], "C": [[1.0]]}))
+        assert main(["certify", "--batch", str(tmp_path), "--workers", "4"]) == 0
+        assert started == [2]
 
     def test_batch_empty_dir_errors(self, tmp_path, capsys):
         assert main(["certify", "--batch", str(tmp_path)]) == 1

@@ -22,6 +22,7 @@ from lyacert.exceptions import (
     NoInjectionExistsError,
     NotObserverError,
     NotStableError,
+    NumericalError,
 )
 from lyacert.linalg import expm, spectral_abscissa
 
@@ -123,6 +124,15 @@ class TestOutputInjection:
     def test_undetectable_rejected(self):
         pair = ObservedPair(A=np.diag([1.0, -2.0]), C=np.array([[0.0, 1.0]]))
         with pytest.raises(NoInjectionExistsError):
+            stabilizing_output_injection(pair)
+
+    def test_failed_riccati_reordering_is_numerical_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("Reordering of (A, B) failed")
+
+        monkeypatch.setattr("scipy.linalg.solve_continuous_are", fail)
+        pair = ObservedPair(A=np.array([[1.0]]), C=np.array([[1.0]]))
+        with pytest.raises(NumericalError, match="output injection: Riccati"):
             stabilizing_output_injection(pair)
 
     def test_witness_stabilizes_random_pairs(self, rng):
