@@ -15,7 +15,6 @@ from .exceptions import (  # noqa: F401
     InternalInconsistencyError,
     InvalidOrderUnitError,
     LyacertError,
-    MarginalSpectrumError,
     NoInjectionExistsError,
     NotObserverError,
     NotPsdError,
@@ -82,7 +81,6 @@ from .detect import (  # noqa: F401
     detectability_report,
     final_observability_constant,
     hautus_detectable,
-    is_exponentially_detectable,
     l2_detectable,
     observability_gramian,
     observer_implies_detector_audit,

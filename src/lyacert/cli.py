@@ -23,7 +23,7 @@ from .certify import (
     wonham_certify,
 )
 from .detect import ObservedPair, detectability_report, final_observability_constant
-from .exceptions import LyacertError
+from .exceptions import LyacertError, ProblemFormatError
 from .lyapunov import lyap_apply, lyap_solve_direct, lyap_solve_integral
 from .linalg import NormInterval, induced_norm, nuclear_norm
 from .semigroup import SemigroupProbe, lemma_AS_suite
@@ -47,8 +47,12 @@ FLAG_RANGES = {
 
 
 def _load_problem(path):
-    with open(path) as fh:
-        return parse_problem(fh.read(), location=path)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ProblemFormatError(f"not UTF-8: {exc}", location=path) from exc
+    return parse_problem(text, location=path)
 
 
 def _emit(payload, out):
@@ -76,10 +80,10 @@ def _certify_one(paths):
     in_path, out_path = paths
     try:
         cert = wonham_certify(_load_problem(in_path))
-    except LyacertError as exc:
+        with open(out_path, "w") as fh:
+            fh.write(cert.to_json() + "\n")
+    except (LyacertError, OSError) as exc:
         return in_path, None, str(exc)
-    with open(out_path, "w") as fh:
-        fh.write(cert.to_json() + "\n")
     return in_path, cert.verdict, None
 
 

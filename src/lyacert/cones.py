@@ -301,7 +301,7 @@ def _sample_cone_element(cone, rng):
     return cone.generators @ w
 
 
-def map_preserves_cone(cone, map_, mode="auto", samples=32, seed=0):
+def map_preserves_cone(cone, map_, samples=32, seed=0):
     """Does the linear map send the cone into itself?
 
     Orthant maps are decided exactly (all entries >= -MEMBERSHIP_TOL
@@ -320,7 +320,7 @@ def map_preserves_cone(cone, map_, mode="auto", samples=32, seed=0):
         raise DimensionError(
             f"map must act on dimension {cone.ambient_dim}, got {M.shape}"
         )
-    if cone.kind == ORTHANT and mode in ("auto", "exact"):
+    if cone.kind == ORTHANT:
         bad = np.argwhere(M < -MEMBERSHIP_TOL * max(1.0, float(np.abs(M).max())))
         if bad.size:
             j = int(bad[0][1])
@@ -328,11 +328,6 @@ def map_preserves_cone(cone, map_, mode="auto", samples=32, seed=0):
             witness[j] = 1.0
             return ConeMapResult(preserves=False, witness=witness)
         return ConeMapResult(preserves=True, witness=None)
-    if mode == "exact":
-        raise UnsupportedConeOperation(
-            f"no exact positivity test for a raw matrix on a {cone.kind} cone"
-        )
-
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         x = _sample_cone_element(cone, rng)

@@ -46,10 +46,6 @@ class NoInjectionExistsError(LyacertError, ValueError):
     """The pair is not detectable: no stabilizing output injection exists."""
 
 
-class MarginalSpectrumError(LyacertError, ArithmeticError):
-    """The Riccati Hamiltonian has eigenvalues on the imaginary axis."""
-
-
 class NotObserverError(LyacertError, ValueError):
     """The pair is not finally observable at the requested time."""
 

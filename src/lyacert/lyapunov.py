@@ -22,6 +22,7 @@ from .exceptions import (
     DivergenceError,
     InternalInconsistencyError,
     NotPsdError,
+    NumericalError,
     ResonantSpectrumError,
 )
 from .linalg import (
@@ -368,9 +369,18 @@ def lyap_solve_direct(A, Q, residual_rtol=1e-8):
     if Q.shape != A.shape:
         raise DimensionError(f"Q must match A, got {Q.shape} vs {A.shape}")
     _check_nonresonant(A)
+    # one real Schur form A' = U T U' serves the solve and its refinement;
+    # each step is scipy.linalg.solve_continuous_lyapunov's own arithmetic
+    T, U = scipy.linalg.schur(A.T, output="real")
+    trsyl = scipy.linalg.get_lapack_funcs("trsyl", (T,))
     P = np.zeros_like(Q)
     for _ in range(2):  # the Schur solve, then one step on its residual
-        D = scipy.linalg.solve_continuous_lyapunov(A.T, -(lyap_apply(A, P) + Q))
+        R = -(lyap_apply(A, P) + Q)
+        # info = 1 (near-resonant, solved perturbed) is left to the residual gate
+        Y, factor, info = trsyl(T, T, U.T.dot(R.dot(U)), tranb="T")
+        if info < 0:
+            raise NumericalError(f"Lyapunov solve: trsyl argument {-info} is illegal")
+        D = U.dot(factor * Y).dot(U.T)
         P = P + 0.5 * (D + D.T)
     residual = np.linalg.norm(A.T @ P + P @ A + Q)
     scale = np.linalg.norm(Q)

@@ -84,6 +84,12 @@ class TestCertifyCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{")
         assert main(["certify", "--input", str(bad)]) == 1
+        not_utf8 = tmp_path / "latin.json"
+        not_utf8.write_bytes(b"\xff{}")
+        assert main(["certify", "--input", str(not_utf8)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {not_utf8}: not UTF-8" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("field, value", [
         ("p", 2.0),
@@ -196,9 +202,19 @@ class TestBatch:
             json.dumps({"A": [[-1.0]], "C": [[1.0]], "t0": -1}))
         (tmp_path / "good.json").write_text(
             json.dumps({"A": [[-1.0]], "C": [[1.0]]}))
+        (tmp_path / "latin.json").write_bytes(b"\xff{}")
+        (tmp_path / "sub.json").mkdir()
+        # a certificate path that cannot be written
+        (tmp_path / "a.json").write_text(
+            json.dumps({"A": [[-2.0]], "C": [[1.0]]}))
+        (tmp_path / "a.certificate.json").mkdir()
         assert main(["certify", "--batch", str(tmp_path), "--workers", "1"]) == 1
         captured = capsys.readouterr()
+        assert f"error: {tmp_path / 'a.json'}: " in captured.err
         assert f"error: {tmp_path / 'bad.json'}: t0: " in captured.err
+        assert f"error: {tmp_path / 'latin.json'}: " in captured.err
+        assert f"error: {tmp_path / 'sub.json'}: " in captured.err
+        assert captured.err.count("error: ") == 4
         assert f"{tmp_path / 'good.json'}: ExponentiallyStable" in captured.out
         cert = json.loads((tmp_path / "good.certificate.json").read_text())
         assert cert["verdict"] == "ExponentiallyStable"

@@ -226,10 +226,6 @@ class TestMapPreservesCone:
         L = CongruenceMap(M=rng.standard_normal((3, 3))).matrix()
         assert map_preserves_cone(cone, L, samples=32, seed=0).preserves
 
-    def test_exact_mode_on_raw_psd_map_rejected(self):
-        with pytest.raises(UnsupportedConeOperation):
-            map_preserves_cone(ConeSpec.psd(2), np.eye(3), mode="exact")
-
     def test_congruence_on_wrong_cone_rejected(self):
         with pytest.raises(UnsupportedConeOperation):
             map_preserves_cone(ConeSpec.orthant(2), CongruenceMap(M=np.eye(2)))

@@ -9,7 +9,6 @@ from lyacert.detect import (
     final_observability_constant,
     hautus_detectable,
     integral_is_finite,
-    is_exponentially_detectable,
     l2_detectable,
     observability_gramian,
     observer_implies_detector_audit,
@@ -127,27 +126,31 @@ class TestOutputInjection:
             stabilizing_output_injection(pair)
 
     def test_failed_riccati_reordering_is_numerical_error(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise ValueError("Reordering of (A, B) failed")
-
-        monkeypatch.setattr("scipy.linalg.solve_continuous_are", fail)
+        # a detectable pair has no imaginary-axis Hamiltonian eigenvalue, so
+        # every CARE failure is numerical, never a verdict disagreement
         pair = ObservedPair(A=np.array([[1.0]]), C=np.array([[1.0]]))
-        with pytest.raises(NumericalError, match="output injection: Riccati"):
-            stabilizing_output_injection(pair)
+        for error in (ValueError, np.linalg.LinAlgError):
+            def fail(*args, **kwargs):
+                raise error("Reordering of (A, B) failed")
+
+            monkeypatch.setattr("scipy.linalg.solve_continuous_are", fail)
+            with pytest.raises(NumericalError, match="output injection: Riccati"):
+                stabilizing_output_injection(pair)
+            with pytest.raises(NumericalError, match="output injection: Riccati"):
+                detectability_report(pair)
 
     def test_witness_stabilizes_random_pairs(self, rng):
         for _ in range(15):
             pair = random_observed_pair(rng, 5, 2, stable=False)
-            detectable, F = is_exponentially_detectable(pair)
-            if detectable:
-                assert spectral_abscissa(pair.A - F @ pair.C) < 0
+            report = detectability_report(pair)
+            if report.exponential:
+                assert spectral_abscissa(pair.A - report.F @ pair.C) < 0
 
     def test_exponential_implies_l2(self, rng):
         for _ in range(15):
             stable = rng.uniform() < 0.5
             pair = random_observed_pair(rng, 4, 2, stable=stable)
-            detectable, _ = is_exponentially_detectable(pair)
-            if detectable:
+            if detectability_report(pair).exponential:
                 assert l2_detectable(pair)
 
 
@@ -246,6 +249,21 @@ class TestPiDetector:
         pair = ObservedPair(A=np.diag([1.0, -2.0]), C=np.array([[1.0, 0.0]]))
         assert pi_detector_check(pair).is_detector
 
+    def test_one_doubling_run_per_integrand(self, monkeypatch):
+        import lyacert.detect
+
+        calls = []
+        doubling = lyacert.detect.gramian_doubling
+
+        def counted(*args):
+            calls.append(args)
+            return doubling(*args)
+
+        monkeypatch.setattr(lyacert.detect, "gramian_doubling", counted)
+        result = pi_detector_check((np.diag([1.0, -2.0]), np.diag([0.0, 1.0])))
+        assert not result.is_detector
+        assert len(calls) == 2
+
 
 class TestObserverAudit:
     def test_scalar_closed_form(self):
@@ -263,9 +281,22 @@ class TestObserverAudit:
             if final_observability_constant(pair, 0.5) <= 1e-8:
                 continue  # numerically unobservable on this horizon
             for t0 in (0.5, 1.0):
-                report = observer_implies_detector_audit(pair, t0=t0, samples=8)
+                report = observer_implies_detector_audit(pair, t0=t0)
                 assert report.eps_star > 0
                 assert report.max_violation <= 1e-6
+
+    def test_exact_worst_violation(self, monkeypatch):
+        # in the eigenbasis of A = S diag(-1, -2) S' with C = S', Q = I, so
+        # P_C = P_inf = diag(1/2, 1/4) and W(1) = diag((1 - e^-2)/2,
+        # (1 - e^-4)/4); with eps* = 10 the slowest axis is violated by
+        # 1 - (1 - e^-2 + 0.1) = e^-2 - 0.1, which sampling only bounds below
+        c, s = np.cos(0.3), np.sin(0.3)
+        S = np.array([[c, -s], [s, c]])
+        pair = ObservedPair(A=S @ np.diag([-1.0, -2.0]) @ S.T, C=S.T)
+        monkeypatch.setattr("lyacert.detect.final_observability_constant",
+                            lambda pair, t0: 10.0)
+        report = observer_implies_detector_audit(pair, t0=1.0)
+        assert report.max_violation == pytest.approx(np.exp(-2) - 0.1, abs=1e-10)
 
     def test_unstable_rejected(self):
         pair = ObservedPair(A=np.eye(2), C=np.eye(2))
@@ -282,12 +313,12 @@ class TestDuhamel:
     def test_variation_of_parameters_identity(self, rng):
         for _ in range(10):
             pair = random_observed_pair(rng, 4, 2, stable=False)
-            detectable, F = is_exponentially_detectable(pair)
-            if not detectable:
+            report = detectability_report(pair)
+            if not report.exponential:
                 continue
             x = rng.standard_normal(4)
             t = rng.uniform(0.1, 3.0)
-            assert duhamel_residual(pair, F, t, x) <= 1e-10
+            assert duhamel_residual(pair, report.F, t, x) <= 1e-10
 
 
 class TestReport:

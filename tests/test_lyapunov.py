@@ -301,6 +301,21 @@ class TestDirectSolver:
             resid = np.linalg.norm(A.T @ P + P @ A + Q)
             assert resid <= 1e-8 * np.linalg.norm(Q)
 
+    def test_one_schur_form_matches_two_scipy_solves(self, rng):
+        # the solve and its refinement step share one Schur form; each step
+        # must stay bit-identical to a fresh solve_continuous_lyapunov call
+        import scipy.linalg
+
+        for n in range(2, 13):
+            A = random_matrix(rng, n)
+            Q = random_psd(rng, n)
+            P = np.zeros_like(Q)
+            for _ in range(2):
+                D = scipy.linalg.solve_continuous_lyapunov(
+                    A.T, -(lyap_apply(A, P) + Q))
+                P = P + 0.5 * (D + D.T)
+            assert np.array_equal(lyap_solve_direct(A, Q), P)
+
 
 class TestIntegralSolver:
     def test_scaled_identity(self):
