@@ -7,7 +7,7 @@ units, implemented/tensor-product semigroups with projective duality, and
 detectability/observability tests.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .exceptions import (  # noqa: F401
     DimensionError,

@@ -88,9 +88,9 @@ def _check_positive_number(value, location):
 @dataclass(frozen=True)
 class ProblemSpec:
     """One certification problem: generator A plus either an output map C
-    or a PSD right-hand side Q = C'C.  t0, when given, and every tolerance
-    must be finite and positive; tolerance keys are those of
-    DEFAULT_TOLERANCES."""
+    or a PSD right-hand side Q = C'C, which must be finite either way.
+    t0, when given, and every tolerance must be finite and positive;
+    tolerance keys are those of DEFAULT_TOLERANCES."""
 
     A: np.ndarray
     C: Optional[np.ndarray] = None
@@ -110,6 +110,10 @@ class ProblemSpec:
                     f"C must have {A.shape[0]} columns, got {C.shape[1]}",
                     location="C",
                 )
+            with np.errstate(over="ignore", invalid="ignore"):
+                if not np.all(np.isfinite(C.T @ C)):
+                    raise ProblemFormatError("C'C is beyond the float range",
+                                             location="C")
             object.__setattr__(self, "C", C)
         if self.Q is not None:
             Q = check_symmetric(self.Q, "Q")
@@ -213,7 +217,6 @@ class Certificate:
     residual: Optional[float]
     growth: Optional[GrowthBound]
     detectability: object
-    eps_star: Optional[dict]
     cross_check_abscissa: float
     method: str
     reason: Optional[str]
@@ -240,7 +243,7 @@ class Certificate:
             if self.growth is None
             else {"M": self.growth.M, "eps": self.growth.eps},
             "detectability": self.detectability.to_dict(),
-            "eps_star": self.eps_star,
+            "eps_star": self.detectability.eps_star,
             "cross_check_abscissa": self.cross_check_abscissa,
             "method": self.method,
             "reason": self.reason,
@@ -289,7 +292,6 @@ def wonham_certify(spec):
             residual=residual,
             growth=growth,
             detectability=report,
-            eps_star=report.eps_star,
             cross_check_abscissa=abscissa,
             method=method,
             reason=reason,

@@ -51,7 +51,6 @@ __all__ = [
     "observer_implies_detector_audit",
     "detectability_report",
     "duhamel_residual",
-    "integral_is_finite",
     "gramian_value_sequence",
     "classify_integral_values",
 ]
@@ -198,15 +197,20 @@ def observability_gramian(pair, t0):
 def final_observability_constant(pair, t0):
     """Best eps with int_0^{t0} ||C T x||^2 >= eps ||T(t0) x||^2 for all x.
 
-    The smallest eigenvalue of the pencil (W(t0), G(t0)) with
-    G = e^{t0 A'} e^{t0 A}; G is positive definite, so the pencil is
-    well posed.  The pair is continuously finally observable iff the
-    returned value is positive."""
-    W = observability_gramian(pair, t0)
-    E = expm(pair.A, t0)
-    G = E.T @ E
-    vals = scipy.linalg.eigh(W, 0.5 * (G + G.T), eigvals_only=True)
-    return float(vals[0])
+    With y = T(t0) x the ratio is y' e^{-t0 A'} W(t0) e^{-t0 A} y / ||y||^2,
+    and that matrix is the Gramian of the time-reversed pair (C, -A) on
+    [0, t0]; eps* is its smallest eigenvalue.  The pair is continuously
+    finally observable iff the returned value is positive."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = observability_gramian(ObservedPair(A=-pair.A, C=pair.C), t0)
+    if not np.all(np.isfinite(W)):
+        raise NumericalError(
+            f"final observability: Gramian of (C, -A) overflows at t0 = {t0:g}"
+        )
+    try:
+        return float(np.linalg.eigvalsh(W)[0])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"final observability: eigensolve failed: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +253,6 @@ def classify_integral_values(vals):
     if len(vals) >= 2 and vals[-1] <= vals[-2] * 1.01 + 1e-12 * max(first, 1.0):
         return True
     return None
-
-
-def integral_is_finite(A, Q, x):
-    """Classify int_0^inf x' e^{tA'} Q e^{tA} x dt by horizon doubling."""
-    vals = gramian_value_sequence(A, Q, [x])[0]
-    return classify_integral_values(vals)
 
 
 class PiDetectorResult(NamedTuple):
@@ -388,17 +386,15 @@ def duhamel_residual(pair, F, t, x):
 
 @dataclass(frozen=True)
 class DetectabilityReport:
-    """Detectability verdicts for one pair; hautus = exponential = l2 at
-    finite dimension, enforced at construction."""
+    """Detectability verdicts for one pair: hautus = exponential = (F is
+    not None), F being the stabilizing injection; l2 must agree."""
 
-    hautus: bool
-    exponential: bool
     F: Optional[np.ndarray]
     l2: bool
     eps_star: Optional[dict] = None
 
     def __post_init__(self):
-        if not (self.hautus == self.exponential == self.l2):
+        if self.hautus != self.l2:
             raise InternalInconsistencyError(
                 "detectability notions disagree",
                 diagnostics={
@@ -407,6 +403,12 @@ class DetectabilityReport:
                     "l2": self.l2,
                 },
             )
+
+    @property
+    def hautus(self):
+        return self.F is not None
+
+    exponential = hautus  # an injection exists iff the Hautus test passes
 
     def to_dict(self):
         return {
@@ -422,19 +424,12 @@ def detectability_report(pair, t0=None):
     """Run all detectability tests on a pair, cross-checking the verdicts;
     eps_star is included when an observation horizon t0 is given.  The
     Hautus verdict is the injection's precondition, so it runs once."""
-    hautus = True
     try:
         F = stabilizing_output_injection(pair)
     except NoInjectionExistsError:
-        hautus, F = False, None
+        F = None
     l2 = l2_detectable(pair)
     eps = None
     if t0 is not None:
         eps = {"t0": float(t0), "value": final_observability_constant(pair, t0)}
-    return DetectabilityReport(
-        hautus=hautus,
-        exponential=F is not None,
-        F=F,
-        l2=l2,
-        eps_star=eps,
-    )
+    return DetectabilityReport(F=F, l2=l2, eps_star=eps)

@@ -360,9 +360,10 @@ def _check_nonresonant(A):
 def lyap_solve_direct(A, Q, residual_rtol=1e-8):
     """Solve A'P + PA = -Q by the Schur (Bartels-Stewart) method.
 
-    One refinement step on the residual keeps it below 1e-8 ||Q|| for
-    slowly decaying A (||P|| up to about 1e8).  Raises ResonantSpectrumError when some
-    eigenvalue pair of A sums to zero, carrying the offending pair.
+    One refinement step follows; P passes the backward-error gate
+    ||A'P + PA + Q|| <= residual_rtol (2 ||A|| ||P|| + ||Q||) (Frobenius).
+    Raises ResonantSpectrumError when some eigenvalue pair of A sums to
+    zero, carrying the offending pair.
     """
     A = as_square(A, "A")
     Q = check_symmetric(Q, "Q")
@@ -382,9 +383,10 @@ def lyap_solve_direct(A, Q, residual_rtol=1e-8):
             raise NumericalError(f"Lyapunov solve: trsyl argument {-info} is illegal")
         D = U.dot(factor * Y).dot(U.T)
         P = P + 0.5 * (D + D.T)
+    # rounding alone leaves a residual of about eps ||A|| ||P||
     residual = np.linalg.norm(A.T @ P + P @ A + Q)
-    scale = np.linalg.norm(Q)
-    if residual > residual_rtol * max(scale, 1e-300) and scale > 0:
+    scale = 2.0 * np.linalg.norm(A) * np.linalg.norm(P) + np.linalg.norm(Q)
+    if residual > residual_rtol * scale:
         raise InternalInconsistencyError(
             "Lyapunov solve residual too large",
             diagnostics={"residual": residual, "scale": scale},

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,9 @@ import pytest
 from lyacert.cli import main
 
 from conftest import slow_decay_problem
+
+#: stable pair whose e^{t0 A} has condition number about e^{25}
+DECAYING_PAIR = {"A": [[-0.5, 1.0], [0.0, -3.0]], "C": [[1.0, 0.0]], "t0": 10}
 
 
 @pytest.fixture
@@ -46,10 +50,16 @@ class TestCertifyCommand:
     def test_inconclusive_exit_three(self, undetectable_file, capsys):
         assert main(["certify", "--input", undetectable_file]) == 3
 
-    @pytest.mark.parametrize("alpha", [-1e-5, -1e-6])
-    def test_slow_decay_exit_zero(self, tmp_path, capsys, alpha):
+    @pytest.mark.parametrize("alpha, seed", [
+        pytest.param(-1e-5, 4, id="-1e-05"),
+        pytest.param(-1e-6, 4, id="-1e-06"),
+        # ||A|| ||P|| / ||Q|| above 1e9: only a backward-error gate passes
+        *(pytest.param(-1e-6, seed, id=f"-1e-06-seed{seed}")
+          for seed in (3, 6, 9, 11)),
+    ])
+    def test_slow_decay_exit_zero(self, tmp_path, capsys, alpha, seed):
         path = tmp_path / "slow.json"
-        path.write_text(json.dumps(slow_decay_problem(alpha)))
+        path.write_text(json.dumps(slow_decay_problem(alpha, seed=seed)))
         assert main(["certify", "--input", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "ExponentiallyStable"
 
@@ -62,6 +72,26 @@ class TestCertifyCommand:
         path.write_text(text)
         assert main(["certify", "--input", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_final_observability_of_decaying_pair(self, tmp_path, capsys):
+        # e^{t0 A'} e^{t0 A} has condition number about e^{50}, beyond double
+        # precision; eps* comes from the Gramian of (C, -A) without it
+        path = tmp_path / "decaying.json"
+        path.write_text(json.dumps(DECAYING_PAIR))
+        assert main(["certify", "--input", str(path)]) == 0
+        cert = json.loads(capsys.readouterr().out)
+        assert cert["eps_star"]["t0"] == 10.0
+        assert math.isfinite(cert["eps_star"]["value"])
+        assert cert["eps_star"] == cert["detectability"]["eps_star"]
+
+    def test_final_observability_overflow_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"A": [[-1.0]], "C": [[1.0]], "t0": 1000}))
+        assert main(["certify", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "final observability" in err
+        assert "Traceback" not in err
 
     def test_ill_conditioned_riccati_no_traceback(self, tmp_path, capsys):
         # scaled by 1e-6, the pencil reordering inside the Riccati solve may
@@ -117,6 +147,7 @@ class TestCertifyCommand:
         pytest.param("t0", 10**400, "t0", id="t0-beyond-float"),
         pytest.param("tolerances", {"psd": 10**400}, "tolerances.psd",
                      id="tolerance-beyond-float"),
+        pytest.param("C", [[1e200]], "C", id="gramian-beyond-float"),
     ])
     def test_bad_t0_or_tolerance_exit_one(self, tmp_path, capsys, field, value,
                                           location):
@@ -149,6 +180,13 @@ class TestDetectObserveCommands:
         assert main(["observe", "--input", problem_file, "--t0", "1.0"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["eps_star"] > 0 and out["finally_observable"] is True
+
+    def test_observe_decaying_pair(self, tmp_path, capsys):
+        path = tmp_path / "decaying.json"
+        path.write_text(json.dumps(DECAYING_PAIR))
+        assert main(["observe", "--input", str(path), "--t0", "10"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert math.isfinite(out["eps_star"]) and out["finally_observable"] is True
 
     def test_detect_with_q_rhs(self, tmp_path, capsys):
         # Q-only problems route through the spectral factor Q = C'C
@@ -218,6 +256,15 @@ class TestBatch:
         assert f"{tmp_path / 'good.json'}: ExponentiallyStable" in captured.out
         cert = json.loads((tmp_path / "good.certificate.json").read_text())
         assert cert["verdict"] == "ExponentiallyStable"
+
+    def test_batch_certifies_decaying_pair(self, tmp_path, capsys):
+        (tmp_path / "decaying.json").write_text(json.dumps(DECAYING_PAIR))
+        (tmp_path / "good.json").write_text(
+            json.dumps({"A": [[-1.0]], "C": [[1.0]]}))
+        assert main(["certify", "--batch", str(tmp_path), "--workers", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"{tmp_path / 'decaying.json'}: ExponentiallyStable",
+                         f"{tmp_path / 'good.json'}: ExponentiallyStable"]
 
     def test_batch_forks_no_more_workers_than_files(self, tmp_path, capsys,
                                                     monkeypatch):

@@ -4,11 +4,12 @@ import pytest
 from lyacert.detect import (
     DetectabilityReport,
     ObservedPair,
+    classify_integral_values,
     detectability_report,
     duhamel_residual,
     final_observability_constant,
+    gramian_value_sequence,
     hautus_detectable,
-    integral_is_finite,
     l2_detectable,
     observability_gramian,
     observer_implies_detector_audit,
@@ -82,14 +83,19 @@ class TestL2Detectable:
         pair = ObservedPair(A=np.diag([1.0, -2.0]), C=np.array([[1.0, 0.0]]))
         assert l2_detectable(pair)
         # quadrature spot-check: x = e1 makes the premise fail
-        assert integral_is_finite(pair.A, pair.Q, np.array([1.0, 0.0])) is False
+        x = np.array([1.0, 0.0])
+        assert classify_integral_values(
+            gramian_value_sequence(pair.A, pair.Q, [x])[0]) is False
 
     def test_hidden_unstable_mode_with_quadrature_witness(self):
         pair = ObservedPair(A=np.diag([1.0, -2.0]), C=np.array([[0.0, 1.0]]))
         assert not l2_detectable(pair)
         x = np.array([1.0, 0.0])
-        assert integral_is_finite(pair.A, pair.Q, x) is True  # premise holds
-        assert integral_is_finite(pair.A, np.eye(2), x) is False  # conclusion fails
+        # the premise holds, the conclusion fails
+        assert classify_integral_values(
+            gramian_value_sequence(pair.A, pair.Q, [x])[0]) is True
+        assert classify_integral_values(
+            gramian_value_sequence(pair.A, np.eye(2), [x])[0]) is False
 
     def test_zero_output_stable(self):
         pair = ObservedPair(A=-np.eye(2), C=np.zeros((1, 2)))
@@ -102,8 +108,10 @@ class TestL2Detectable:
             verdict = l2_detectable(pair)
             for _ in range(3):
                 x = rng.standard_normal(4)
-                premise = integral_is_finite(pair.A, pair.Q, x)
-                conclusion = integral_is_finite(pair.A, np.eye(4), x)
+                premise = classify_integral_values(
+                    gramian_value_sequence(pair.A, pair.Q, [x])[0])
+                conclusion = classify_integral_values(
+                    gramian_value_sequence(pair.A, np.eye(4), [x])[0])
                 if verdict and premise is True:
                     assert conclusion is not False
 
@@ -226,6 +234,35 @@ class TestFinalObservability:
                 assert l2_detectable(pair)
                 checked += 1
         assert checked >= 10
+
+    @pytest.mark.parametrize("t0", [1.0, 10.0, 30.0])
+    def test_time_reversed_gramian_closed_form(self, t0):
+        # eps* is lambda_min of the Gramian of (C, -A); for this pair its
+        # entries are sums of I_k = (e^{kt} - 1)/k.  The 2 x 2 eigenvalue
+        # formula cancels in double precision, so the reference is taken at
+        # 50 digits as det / lambda_max, whose terms do not cancel
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        t = mp.mpf(t0)
+
+        def I(k):
+            return (mp.exp(k * t) - 1) / k
+
+        a = I(1)
+        b = (I(1) - I(mp.mpf("3.5"))) / mp.mpf("2.5")
+        c = (I(1) - 2 * I(mp.mpf("3.5")) + I(6)) / mp.mpf("6.25")
+        lam_max = (a + c + mp.sqrt((a - c) ** 2 + 4 * b * b)) / 2
+        expected = float((a * c - b * b) / lam_max)
+        pair = ObservedPair(A=np.array([[-0.5, 1.0], [0.0, -3.0]]),
+                            C=np.array([[1.0, 0.0]]))
+        assert final_observability_constant(pair, t0) == pytest.approx(
+            expected, rel=1e-12)
+
+    def test_gramian_overflow_is_numerical_error(self):
+        pair = ObservedPair(A=-np.eye(1), C=np.eye(1))
+        with pytest.raises(NumericalError, match="final observability"):
+            final_observability_constant(pair, 1000.0)
 
 
 class TestPiDetector:
@@ -355,6 +392,13 @@ class TestReport:
         d = detectability_report(pair, t0=0.5).to_dict()
         assert set(d) == {"hautus", "exponential", "F", "l2", "eps_star"}
 
+    def test_verdict_is_stored_once(self):
+        report = DetectabilityReport(F=np.zeros((1, 1)), l2=True)
+        assert report.hautus and report.exponential
+        for name in ("hautus", "exponential"):
+            with pytest.raises(AttributeError):
+                setattr(report, name, False)
+
     def test_inconsistency_raises(self):
         with pytest.raises(InternalInconsistencyError):
-            DetectabilityReport(hautus=True, exponential=False, F=None, l2=True)
+            DetectabilityReport(F=None, l2=True)

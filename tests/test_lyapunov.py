@@ -3,6 +3,7 @@ import pytest
 
 from lyacert.exceptions import (
     DivergenceError,
+    InternalInconsistencyError,
     NotPsdError,
     ResonantSpectrumError,
 )
@@ -300,6 +301,25 @@ class TestDirectSolver:
             P = lyap_solve_direct(A, Q)
             resid = np.linalg.norm(A.T @ P + P @ A + Q)
             assert resid <= 1e-8 * np.linalg.norm(Q)
+
+    def test_backward_error_gate_rejects_perturbed_solution(self, monkeypatch):
+        # both Schur steps return 1.01 Y, which leaves P = 0.9999 P_true:
+        # relative backward error about 3e-5, far above the 1e-8 gate
+        import scipy.linalg
+
+        get_lapack_funcs = scipy.linalg.get_lapack_funcs
+
+        def perturbed(names, arrays):
+            trsyl = get_lapack_funcs(names, arrays)
+
+            def scaled(*args, **kwargs):
+                Y, factor, info = trsyl(*args, **kwargs)
+                return 1.01 * Y, factor, info
+            return scaled
+
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", perturbed)
+        with pytest.raises(InternalInconsistencyError, match="residual too large"):
+            lyap_solve_direct(np.array([[-1.0, 1.0], [0.0, -2.0]]), np.eye(2))
 
     def test_one_schur_form_matches_two_scipy_solves(self, rng):
         # the solve and its refinement step share one Schur form; each step
