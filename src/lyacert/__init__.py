@@ -7,7 +7,7 @@ units, implemented/tensor-product semigroups with projective duality, and
 detectability/observability tests.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .exceptions import (  # noqa: F401
     DimensionError,
@@ -71,7 +71,6 @@ from .lyapunov import (  # noqa: F401
     positive_negative_split,
     projective_norm,
     rkhs_factor,
-    s_infinity_operator,
     symmetric_project,
     tensor_semigroup_apply,
 )

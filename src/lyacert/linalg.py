@@ -41,6 +41,7 @@ __all__ = [
     "sym_to_vec",
     "vec_to_sym",
     "sym_dim",
+    "sym_index",
 ]
 
 #: eigenvalues with Re >= -DECAY_TOL count as non-decaying (conservative)
@@ -130,7 +131,10 @@ def as_vector(x, dim=None, name="vector"):
 
 
 def check_symmetric(a, name="matrix"):
-    """Validate symmetry within 1e-12 * scale and return the symmetrized matrix."""
+    """Validate symmetry within 1e-12 * scale and return the symmetrized matrix.
+
+    Exactly symmetric entries are kept bit for bit; the others are averaged
+    as 0.5 m + 0.5 m', which cannot overflow."""
     m = as_square(a, name)
     scale = max(np.abs(m).max(), 1.0)
     defect = np.abs(m - m.T).max()
@@ -138,7 +142,7 @@ def check_symmetric(a, name="matrix"):
         raise ValueError(
             f"{name} is not symmetric: defect {defect:.3e} exceeds 1e-12 * scale"
         )
-    return 0.5 * (m + m.T)
+    return np.where(m == m.T, m, 0.5 * m + 0.5 * m.T)
 
 
 def vector_norm(x, p):
@@ -281,7 +285,7 @@ def eigenvalues(A):
     """Eigenvalues of A; symmetric input routes to the symmetric solver."""
     A = as_square(A, "A")
     try:
-        if np.allclose(A, A.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(A).max())):
+        if np.abs(A - A.T).max() <= 1e-12 * max(1.0, np.abs(A).max()):
             return np.linalg.eigvalsh(A).astype(complex)
         return np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
@@ -451,6 +455,17 @@ def sym_dim(n):
     return n * (n + 1) // 2
 
 
+def sym_index(n):
+    """(n, n) integer array whose entry (p, q) is the sym_to_vec coordinate of
+    the pair {p, q}: p for p = q, then n, n + 1, ... for p < q in row-major
+    order."""
+    index = np.empty((n, n), dtype=np.intp)
+    index[np.diag_indices(n)] = np.arange(n)
+    i, j = np.triu_indices(n, 1)
+    index[i, j] = index[j, i] = np.arange(n, sym_dim(n))
+    return index
+
+
 def sym_basis(n):
     """Orthonormal basis of Sym(n) inside R^{n^2} (column-major vec).
 
@@ -483,7 +498,4 @@ def vec_to_sym(v, n):
     """Inverse of sym_to_vec: the first n coordinates fill the diagonal, the
     rest fill P[i, j] = P[j, i] (i < j, row-major order) scaled by 1/sqrt(2)."""
     v = as_vector(v, sym_dim(n), "coordinates")
-    P = np.diag(v[:n])
-    i, j = np.triu_indices(n, 1)
-    P[i, j] = P[j, i] = (1.0 / math.sqrt(2.0)) * v[n:]
-    return P
+    return np.concatenate([v[:n], (1.0 / math.sqrt(2.0)) * v[n:]])[sym_index(n)]

@@ -4,9 +4,11 @@ The Lyapunov generator L_A : P -> A'P + PA acts on Sym(n); its semigroup
 T(t)P = e^{tA'} P e^{tA} is the adjoint of the tensor semigroup
 rho -> (e^{tA} x) tensor (e^{tA} y) on R^n tensor R^n under the trace
 pairing <<P, x tensor y>> = <Px, y>.  This module realizes both, the
-projective tensor norms, the symmetric calculus, the RKHS factorization
-Q = C'C, and two independent Lyapunov solvers (a Schur direct solve and
-the integral of the implemented semigroup by horizon doubling).
+matrix of L_A on the orthonormal Sym(n) coordinates of linalg.sym_to_vec,
+the projective tensor norms, the symmetric calculus, the RKHS
+factorization Q = C'C, and two independent Lyapunov solvers: -L_A^{-1}Q
+by a Schur direct solve, and the integral of the implemented semigroup by
+horizon doubling.
 """
 
 import math
@@ -37,18 +39,16 @@ from .linalg import (
     gramian_doubling,
     induced_norm,
     nuclear_norm,
-    spectral_abscissa,
+    spectral_abscissa,  # noqa: F401 (kept importable from this module)
     spectrum_is_psd,
-    sym_basis,
-    sym_to_vec,
-    vec_to_sym,
+    sym_dim,
+    sym_index,
     vector_norm,
 )
 
 __all__ = [
     "Tensor2",
     "LyapunovOperator",
-    "SymOperator",
     "monomial",
     "lyap_apply",
     "implemented_apply",
@@ -61,7 +61,6 @@ __all__ = [
     "rkhs_factor",
     "lyap_solve_direct",
     "lyap_solve_integral",
-    "s_infinity_operator",
 ]
 
 #: |lambda_i + lambda_j| below this is a resonant (singular) Lyapunov operator
@@ -215,10 +214,15 @@ def tensor_semigroup_apply(A, V, t, rho):
 
 
 class LyapunovOperator:
-    """The generator P -> A'P + PA, materialized on Sym(n) coordinates.
+    """The generator P -> A'P + PA as a matrix on Sym(n) coordinates.
 
-    The coordinate matrix is the Kronecker lift I (x) A' + A' (x) I
-    restricted to the orthonormal symmetric basis.
+    Column c of ``matrix`` holds the sym_to_vec coordinates of the image of
+    the c-th orthonormal basis element.  The entries are formed directly
+    from A, each with at most one rounding: column e_k e_k' holds 2 a_kk at
+    its own row and sqrt(2) a_km at the row of (k, m); column
+    (e_k e_l' + e_l e_k') / sqrt(2) holds a_kk + a_ll at its own row,
+    sqrt(2) a_lk and sqrt(2) a_kl at the diagonal rows k and l, and a_lm
+    and a_km at the rows of (k, m) and (l, m) for every other m.
     """
 
     def __init__(self, A):
@@ -232,9 +236,28 @@ class LyapunovOperator:
     def matrix(self):
         n = self.n
         A = self.A
-        K = np.kron(np.eye(n), A.T) + np.kron(A.T, np.eye(n))
-        B = sym_basis(n)
-        return B.T @ K @ B
+        d = sym_dim(n)
+        index = sym_index(n)
+        root2 = math.sqrt(2.0)
+        L = np.zeros((d, d))
+        # columns e_k e_k'
+        diag = np.arange(n)
+        L[diag, diag] = 2.0 * np.diag(A)
+        k, m = np.nonzero(~np.eye(n, dtype=bool))
+        L[index[k, m], k] = root2 * A[k, m]
+        # columns (e_k e_l' + e_l e_k') / sqrt(2), k < l
+        k, l = np.triu_indices(n, 1)
+        c = index[k, l]
+        L[c, c] = A[k, k] + A[l, l]
+        L[k, c] = root2 * A[l, k]
+        L[l, c] = root2 * A[k, l]
+        other = (diag != k[:, None]) & (diag != l[:, None])
+        k, l, m = (np.broadcast_to(v, other.shape)[other]
+                   for v in (k[:, None], l[:, None], diag))
+        c = index[k, l]
+        L[index[k, m], c] = A[l, m]
+        L[index[l, m], c] = A[k, m]
+        return L
 
     def apply(self, P):
         return lyap_apply(self.A, P)
@@ -383,6 +406,8 @@ def lyap_solve_direct(A, Q, residual_rtol=1e-8):
             raise NumericalError(f"Lyapunov solve: trsyl argument {-info} is illegal")
         D = U.dot(factor * Y).dot(U.T)
         P = P + 0.5 * (D + D.T)
+    if not np.all(np.isfinite(P)):
+        raise NumericalError("Lyapunov solve: P is not finite")
     # rounding alone leaves a residual of about eps ||A|| ||P||
     residual = np.linalg.norm(A.T @ P + P @ A + Q)
     scale = 2.0 * np.linalg.norm(A) * np.linalg.norm(P) + np.linalg.norm(Q)
@@ -435,56 +460,3 @@ def lyap_solve_integral(A, Q):
         f"integral did not converge within {MAX_DOUBLINGS} doublings "
         f"(horizon t = {t:.3e})"
     )
-
-
-@dataclass(frozen=True)
-class SymOperator:
-    """A linear map on Sym(n), stored on orthonormal coordinates."""
-
-    n: int
-    matrix: np.ndarray
-
-    def apply(self, P):
-        P = check_symmetric(P, "P")
-        if P.shape[0] != self.n:
-            raise DimensionError(f"expected {self.n} x {self.n}, got {P.shape}")
-        return vec_to_sym(self.matrix @ sym_to_vec(P), self.n)
-
-
-def s_infinity_operator(A):
-    """Materialize -L_A^{-1} on Sym(n) coordinates.
-
-    For stable A this is the map Q -> int_0^inf e^{tA'} Q e^{tA} dt; it is
-    then verified to send a PSD spanning set to PSD images and to agree
-    with the direct solver route.
-    """
-    A = as_square(A, "A")
-    _check_nonresonant(A)
-    op = LyapunovOperator(A)
-    S = -np.linalg.inv(op.matrix)
-    result = SymOperator(n=A.shape[0], matrix=S)
-    if spectral_abscissa(A) < 0.0:
-        n = A.shape[0]
-        eye = np.eye(n)
-        spanning = [np.outer(eye[i], eye[i]) for i in range(n)]
-        spanning += [
-            np.outer(eye[i] + eye[j], eye[i] + eye[j])
-            for i in range(n)
-            for j in range(i + 1, n)
-        ]
-        for Qb in spanning:
-            P = result.apply(Qb)
-            lam = np.linalg.eigvalsh(P)
-            if not spectrum_is_psd(lam, 1e-9):
-                raise InternalInconsistencyError(
-                    "-L_A^{-1} image of a PSD element is not PSD for stable A",
-                    diagnostics={"lambda_min": float(lam[0])},
-                )
-            P_direct = lyap_solve_direct(A, Qb)
-            if np.linalg.norm(P - P_direct) > 1e-8 * max(
-                np.linalg.norm(P_direct), 1.0
-            ):
-                raise InternalInconsistencyError(
-                    "inverse route disagrees with the direct solver",
-                )
-    return result

@@ -93,6 +93,17 @@ class TestCertifyCommand:
         assert err.startswith("error: ") and "final observability" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("q", [1e308, 1.7e308])
+    def test_overflowing_q_exit_one(self, tmp_path, capsys, q):
+        # Q is finite and symmetric, but P = Q / 2 leaves no room for the
+        # residual A'P + PA
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"A": [[-1.0]], "Q": [[q]]}))
+        assert main(["certify", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "error: Lyapunov solve: P is not finite" in err
+        assert "Traceback" not in err
+
     def test_ill_conditioned_riccati_no_traceback(self, tmp_path, capsys):
         # scaled by 1e-6, the pencil reordering inside the Riccati solve may
         # fail; that must come out as an error line, not a traceback
@@ -256,6 +267,19 @@ class TestBatch:
         assert f"{tmp_path / 'good.json'}: ExponentiallyStable" in captured.out
         cert = json.loads((tmp_path / "good.certificate.json").read_text())
         assert cert["verdict"] == "ExponentiallyStable"
+
+    def test_batch_reports_overflowing_q_and_certifies_the_rest(self, tmp_path,
+                                                                capsys):
+        (tmp_path / "big.json").write_text(
+            json.dumps({"A": [[-1.0]], "Q": [[1e308]]}))
+        (tmp_path / "good.json").write_text(
+            json.dumps({"A": [[-1.0]], "C": [[1.0]]}))
+        assert main(["certify", "--batch", str(tmp_path), "--workers", "1"]) == 1
+        captured = capsys.readouterr()
+        assert (f"error: {tmp_path / 'big.json'}: Lyapunov solve: P is not finite"
+                in captured.err)
+        assert captured.out.splitlines() == [
+            f"{tmp_path / 'good.json'}: ExponentiallyStable"]
 
     def test_batch_certifies_decaying_pair(self, tmp_path, capsys):
         (tmp_path / "decaying.json").write_text(json.dumps(DECAYING_PAIR))

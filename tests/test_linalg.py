@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lyacert.exceptions import DimensionError, NotStableError
+from lyacert.exceptions import DimensionError, NotStableError, NumericalError
 from lyacert.linalg import (
     GrowthBound,
     NormInterval,
@@ -201,6 +201,18 @@ class TestGrowthFit:
         A = B - (spectral_abscissa(B) - alpha) * np.eye(n)
         gb = growth_fit(A, spectral_abscissa(A))
         assert envelope_holds(A, gb, 30.0 / gb.eps, 3000)
+
+    @pytest.mark.xfail(raises=NumericalError,
+                       reason="ROADMAP item 2: lambda_min(P) of the shifted solve "
+                              "is lost to rounding on strongly non-normal A")
+    def test_non_normal_triangular_gets_a_bound(self):
+        # lambda_max(P_I) reaches about 3e16 while the sampled sup of
+        # ||e^{tA}|| e^{eps t} is about 5.5e4
+        B = np.random.default_rng(2).standard_normal((30, 30)) / np.sqrt(30)
+        T = np.triu(B)
+        A = T - (spectral_abscissa(T) + 1e-6) * np.eye(30)
+        gb = growth_fit(A, spectral_abscissa(A))
+        assert envelope_holds(A, gb, 30.0 / gb.eps, 40000)
 
     def test_unstable_rejected(self):
         with pytest.raises(NotStableError):

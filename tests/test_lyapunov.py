@@ -7,7 +7,14 @@ from lyacert.exceptions import (
     NotPsdError,
     ResonantSpectrumError,
 )
-from lyacert.linalg import NormInterval, expm, induced_norm, sym_to_vec
+from lyacert.linalg import (
+    NormInterval,
+    expm,
+    induced_norm,
+    spectral_abscissa,
+    sym_basis,
+    sym_to_vec,
+)
 from lyacert.lyapunov import (
     LyapunovOperator,
     Tensor2,
@@ -21,7 +28,6 @@ from lyacert.lyapunov import (
     positive_negative_split,
     projective_norm,
     rkhs_factor,
-    s_infinity_operator,
     symmetric_project,
     tensor_semigroup_apply,
 )
@@ -66,6 +72,42 @@ class TestLyapApply:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             lyap_apply(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestLyapunovOperator:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 30])
+    def test_matches_kronecker_oracle(self, rng, n):
+        # B'(I (x) A' + A' (x) I)B rounds through the 1/sqrt(2) basis
+        # factors; the index-built matrix agrees within 4 ulps of its
+        # largest entry
+        A = rng.standard_normal((n, n))
+        B = sym_basis(n)
+        eye = np.eye(n)
+        oracle = B.T @ (np.kron(eye, A.T) + np.kron(A.T, eye)) @ B
+        L = LyapunovOperator(A).matrix
+        assert L.shape == oracle.shape
+        bound = 4.0 * np.finfo(float).eps * np.abs(oracle).max()
+        assert np.abs(L - oracle).max() <= bound
+
+    @pytest.mark.parametrize("alpha", [-1.0, -0.1, -1e-3, 1e-3])
+    def test_jordan_lift_abscissa_exact(self, alpha):
+        # the lift of a 2x2 Jordan block is a 3x3 Jordan block at 2 alpha;
+        # every diagonal entry is formed as 2 a_ii or a_ii + a_jj, exactly
+        L = LyapunovOperator(np.array([[alpha, 1.0], [0.0, alpha]])).matrix
+        np.testing.assert_array_equal(np.diag(L), [2.0 * alpha] * 3)
+        assert spectral_abscissa(L) == 2.0 * alpha
+
+    def test_build_memory_is_linear_in_result(self, rng):
+        import tracemalloc
+
+        A = rng.standard_normal((40, 40))
+        tracemalloc.start()
+        try:
+            L = LyapunovOperator(A).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * L.nbytes
 
 
 class TestImplementedSemigroup:
@@ -302,6 +344,24 @@ class TestDirectSolver:
             resid = np.linalg.norm(A.T @ P + P @ A + Q)
             assert resid <= 1e-8 * np.linalg.norm(Q)
 
+    def test_psd_spanning_set_maps_to_psd(self, rng):
+        # the paper's positivity of -L_A^{-1} for stable A, checked on the
+        # PSD spanning set {e_i e_i', (e_i + e_j)(e_i + e_j)'} of Sym(n)
+        for n in (1, 2, 3, 5, 8):
+            A = stable_matrix(rng, n)
+            eye = np.eye(n)
+            spanning = [np.outer(eye[i], eye[i]) for i in range(n)]
+            spanning += [
+                np.outer(eye[i] + eye[j], eye[i] + eye[j])
+                for i in range(n)
+                for j in range(i + 1, n)
+            ]
+            for Q in spanning:
+                P = lyap_solve_direct(A, Q)
+                lam = np.linalg.eigvalsh(P)
+                assert lam[0] >= -1e-9 * lam[-1]
+                assert lam[-1] > 0.0
+
     def test_backward_error_gate_rejects_perturbed_solution(self, monkeypatch):
         # both Schur steps return 1.01 Y, which leaves P = 0.9999 P_true:
         # relative backward error about 3e-5, far above the 1e-8 gate
@@ -384,45 +444,6 @@ class TestIntegralSolver:
         P = lyap_solve_integral(A, Q)
         W1 = gramian_integral(A, Q, 0.25)
         assert np.linalg.eigvalsh(P - W1)[0] >= -1e-10 * np.linalg.norm(P, 2)
-
-
-class TestSInfinityOperator:
-    def test_identity_map(self):
-        op = s_infinity_operator(-0.5 * np.eye(2))
-        np.testing.assert_allclose(op.matrix, np.eye(3), atol=1e-12)
-        Q = np.array([[1.0, 0.3], [0.3, 2.0]])
-        np.testing.assert_allclose(op.apply(Q), Q, atol=1e-12)
-
-    def test_matches_direct_solver(self):
-        A = np.array([[0.0, 1.0], [-2.0, -3.0]])
-        op = s_infinity_operator(A)
-        np.testing.assert_allclose(
-            op.apply(np.eye(2)), lyap_solve_direct(A, np.eye(2)), atol=1e-10
-        )
-
-    def test_unstable_scalar_not_positive(self):
-        # for A = [1] the generator is multiplication by 2 on Sym(1)
-        op = s_infinity_operator(np.array([[1.0]]))
-        np.testing.assert_allclose(op.matrix, [[-0.5]], atol=1e-14)
-
-    def test_resonance_rejected(self):
-        with pytest.raises(ResonantSpectrumError):
-            s_infinity_operator(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-
-    def test_positivity_for_stable(self, rng):
-        A = stable_matrix(rng, 3)
-        op = s_infinity_operator(A)
-        for _ in range(5):
-            Q = random_psd(rng, 3)
-            P = op.apply(Q)
-            assert np.linalg.eigvalsh(P)[0] >= -1e-9 * np.linalg.norm(P, 2)
-
-    def test_apply_dimension_mismatch(self):
-        from lyacert.exceptions import DimensionError
-
-        op = s_infinity_operator(-np.eye(2))
-        with pytest.raises(DimensionError):
-            op.apply(np.eye(3))
 
 
 class TestTensorValidation:

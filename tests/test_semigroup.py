@@ -7,9 +7,8 @@ from lyacert.cones import ConeSpec
 from lyacert.exceptions import (
     InternalInconsistencyError,
     NotStableError,
-    NumericalError,
 )
-from lyacert.linalg import ABSCISSA_TOL, expm, integral_exp
+from lyacert.linalg import ABSCISSA_TOL, expm, expm_grid, integral_exp
 from lyacert.lyapunov import LyapunovOperator
 from lyacert.semigroup import (
     SemigroupProbe,
@@ -131,14 +130,16 @@ class TestWeakL1:
             probe = SemigroupProbe(A=LyapunovOperator(J).matrix,
                                    cone=ConeSpec.psd(2))
         assert weak_L1_stable_on_cone(probe).stable == (alpha < 0)
-        if cone == "psd" and alpha == -1e-3:
-            # the lift has a 3x3 Jordan block at -2e-3: growth_fit's shifted
-            # Lyapunov solve loses lambda_min(P) to rounding (ROADMAP item 2)
-            with pytest.raises(NumericalError, match="shifted Lyapunov"):
-                stability_report(probe)
-            pytest.xfail("growth_fit fails on a 3x3 Jordan block (ROADMAP item 2)")
         report = stability_report(probe)
         assert report.exponential == report.weak_L1_on_cone == (alpha < 0)
+        if alpha < 0:
+            # the envelope M e^{-eps t} bounds ||e^{tA}|| on 40001 points of
+            # [0, 30/eps]; the psd lift is a 3x3 Jordan block at 2 alpha
+            gb = report.growth
+            ts, mats = expm_grid(probe.A, 30.0 / gb.eps, 40000)
+            sup = float((np.linalg.norm(mats, ord=2, axis=(1, 2))
+                         * np.exp(gb.eps * ts)).max())
+            assert gb.M >= sup
 
     def test_barely_stable_scalar_consistent(self):
         # -5e-10 is below -ABSCISSA_TOL, so both notions must call it stable
