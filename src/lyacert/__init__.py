@@ -7,7 +7,7 @@ units, implemented/tensor-product semigroups with projective duality, and
 detectability/observability tests.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .exceptions import (  # noqa: F401
     DimensionError,
@@ -27,6 +27,7 @@ from .exceptions import (  # noqa: F401
 from .linalg import (  # noqa: F401
     GrowthBound,
     NormInterval,
+    SchurForm,
     SpaceNorm,
     cesaro_integral,
     expm,
@@ -35,6 +36,7 @@ from .linalg import (  # noqa: F401
     induced_norm,
     integral_exp,
     nuclear_norm,
+    schur_form,
     spectral_abscissa,
 )
 from .cones import (  # noqa: F401

@@ -2,9 +2,12 @@
 
 A certificate's evidence is always the triple (P, residual, detectability):
 stability is claimed from a positive solution of A'P + PA = -C'C with a
-detectable right-hand side, never from eigenvalues.  The spectral abscissa
-is computed on every run purely as a cross-check; a verdict inconsistent
-with it raises instead of emitting a silent certificate.
+detectable right-hand side, never from eigenvalues.  One real Schur form of
+A (linalg.SchurForm) serves the whole certificate: the Hautus test reads
+its eigenvalues, the direct solve and the growth envelope solve through it,
+and its spectral abscissa is recorded purely as a cross-check; a verdict
+inconsistent with that abscissa raises instead of emitting a silent
+certificate.
 """
 
 import csv
@@ -32,7 +35,7 @@ from .linalg import (
     check_symmetric,
     expm_grid,
     growth_fit,
-    spectral_abscissa,
+    spectral_abscissa,  # noqa: F401 (kept importable from this module)
     spectrum_is_psd,
 )
 from .lyapunov import (
@@ -273,15 +276,17 @@ def wonham_certify(spec):
     solve (resonant spectrum -> spectral-only verdict); positive solution
     -> ExponentiallyStable with growth bound and an independent
     integral-solver cross-check; indefinite solution -> Unstable.  The
-    spectral abscissa is recorded and any verdict inconsistent with it
-    raises.
+    detectability report, the direct solve, the growth bound and the
+    recorded spectral abscissa share the pair's one Schur form; any verdict
+    inconsistent with that abscissa raises.
     """
     tols = spec.tolerances
     A = spec.A
     C = output_map(spec.C, spec.Q)
     pair = ObservedPair(A=A, C=C)
     report = detectability_report(pair, t0=spec.t0)
-    abscissa = spectral_abscissa(A)
+    form = pair.schur
+    abscissa = form.abscissa
     digest = input_digest(spec)
 
     def finish(verdict, P=None, residual=None, growth=None, method="lyapunov",
@@ -306,7 +311,7 @@ def wonham_certify(spec):
 
     Q = C.T @ C
     try:
-        P = lyap_solve_direct(A, Q, residual_rtol=tols["residual"])
+        P = lyap_solve_direct(form, Q, residual_rtol=tols["residual"])
     except ResonantSpectrumError as exc:
         # resonance forces abscissa >= 0: never exponentially stable
         return finish(
@@ -318,7 +323,7 @@ def wonham_certify(spec):
     residual = float(np.linalg.norm(lyap_apply(A, P) + Q))
     lam = np.linalg.eigvalsh(P)
     if spectrum_is_psd(lam, tols["psd"]):
-        growth = growth_fit(A, abscissa)
+        growth = growth_fit(form)
         P_int = lyap_solve_integral(A, Q)
         gap = np.linalg.norm(P_int - P) / max(np.linalg.norm(P), 1.0)
         if gap > tols["cross_check"]:

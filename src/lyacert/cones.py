@@ -47,6 +47,10 @@ POLYHEDRAL = "polyhedral"
 MEMBERSHIP_TOL = 1e-10
 #: margin by which an order unit must lie inside the cone
 ORDER_UNIT_TOL = 1e-9
+#: cone elements sampled, and their seed, when map_preserves_cone tests a
+#: matrix on a PSD or polyhedral cone
+MAP_SAMPLES = 32
+MAP_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -301,14 +305,14 @@ def _sample_cone_element(cone, rng):
     return cone.generators @ w
 
 
-def map_preserves_cone(cone, map_, samples=32, seed=0):
+def map_preserves_cone(cone, map_):
     """Does the linear map send the cone into itself?
 
     Orthant maps are decided exactly (all entries >= -MEMBERSHIP_TOL
     * max(1, max |M_ij|)).  On the PSD cone, only congruence maps
     P -> M'PM are decidable by form (pass a CongruenceMap); any other map
-    is falsified by seeded sampling, where True means "no counterexample
-    found".
+    is falsified on MAP_SAMPLES cone elements drawn with seed MAP_SEED,
+    where True means "no counterexample found".
     """
     if isinstance(map_, CongruenceMap):
         if cone.kind != PSD:
@@ -328,8 +332,8 @@ def map_preserves_cone(cone, map_, samples=32, seed=0):
             witness[j] = 1.0
             return ConeMapResult(preserves=False, witness=witness)
         return ConeMapResult(preserves=True, witness=None)
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
+    rng = np.random.default_rng(MAP_SEED)
+    for _ in range(MAP_SAMPLES):
         x = _sample_cone_element(cone, rng)
         coords = sym_to_vec(x) if cone.kind == PSD else x
         image = M @ coords

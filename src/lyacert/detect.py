@@ -10,6 +10,7 @@ is guarded by quadrature cross-checks wherever randomness enters.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -28,10 +29,10 @@ from .linalg import (
     as_matrix,
     as_square,
     as_vector,
-    eigenvalues,
     expm,
     gramian_doubling,
     gramian_integral,
+    schur_form,
     spectral_abscissa,
 )
 from .lyapunov import lyap_solve_direct
@@ -58,7 +59,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ObservedPair:
-    """State generator A with output map C into an m-dimensional space."""
+    """State generator A with output map C into an m-dimensional space.
+
+    ``schur`` is the real Schur form of A (linalg.SchurForm), built on first
+    use and shared by every test and solve on the pair."""
 
     A: np.ndarray
     C: np.ndarray
@@ -86,6 +90,10 @@ class ObservedPair:
         """Q = C'C, PSD by construction."""
         return self.C.T @ self.C
 
+    @cached_property
+    def schur(self):
+        return schur_form(self.A)
+
 
 def hautus_detectable(pair):
     """Rank test: for every eigenvalue with Re >= -DECAY_TOL, the stacked
@@ -94,7 +102,7 @@ def hautus_detectable(pair):
     A, C = pair.A, pair.C
     n = pair.n
     scale = max(float(np.linalg.norm(A, 2)), 1.0)
-    for lam in eigenvalues(A):
+    for lam in pair.schur.w:
         if lam.real < -DECAY_TOL:
             continue
         stacked = np.vstack([A - lam * np.eye(n), C.astype(complex)])
@@ -166,9 +174,12 @@ def stabilizing_output_injection(pair):
         F = np.zeros((n, m))
     else:
         try:
-            sigma = scipy.linalg.solve_continuous_are(
-                A.T, C.T, np.eye(n), np.eye(m)
-            )
+            # the CARE's balancing can overflow on huge C; the stability
+            # postcondition below decides
+            with np.errstate(over="ignore", invalid="ignore"):
+                sigma = scipy.linalg.solve_continuous_are(
+                    A.T, C.T, np.eye(n), np.eye(m)
+                )
         except ValueError as exc:  # LinAlgError is one
             # Hautus rules out imaginary-axis Hamiltonian eigenvalues, so
             # any failure here is numerical
@@ -331,8 +342,10 @@ def observer_implies_detector_audit(pair, t0):
     P_C.  Reported is its worst relative violation over all x,
     max(0, 1 - lambda_min) of the pencil (W(t0) + (t0/eps*) P_C, P_inf),
     which must be <= 1e-6.  The pair counts as finally observable when
-    eps* > 1e-10."""
-    alpha = spectral_abscissa(pair.A)
+    eps* > 1e-10.  The abscissa and both solves read the pair's one Schur
+    form."""
+    form = pair.schur
+    alpha = form.abscissa
     if alpha >= 0.0:
         raise NotStableError(
             f"audit requires a stable generator (abscissa {alpha:.3e})"
@@ -342,10 +355,10 @@ def observer_implies_detector_audit(pair, t0):
         raise NotObserverError(
             f"pair is not finally observable at t0={t0}: eps* = {eps_star:.3e}"
         )
-    A, eye = pair.A, np.eye(pair.n)
-    P_inf = lyap_solve_direct(A, eye)
-    P_C = lyap_solve_direct(A, pair.Q)
-    bound = gramian_integral(A, eye, t0) + (t0 / eps_star) * P_C
+    eye = np.eye(pair.n)
+    P_inf = lyap_solve_direct(form, eye)
+    P_C = lyap_solve_direct(form, pair.Q)
+    bound = gramian_integral(pair.A, eye, t0) + (t0 / eps_star) * P_C
     try:
         lam_min = scipy.linalg.eigh(bound, P_inf, eigvals_only=True)[0]
     except np.linalg.LinAlgError as exc:

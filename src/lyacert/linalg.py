@@ -1,9 +1,10 @@
 """Deterministic dense linear algebra kernel.
 
 Matrix exponentials, exact block-augmented time integrals, spectral
-quantities, induced and nuclear norms, and the orthonormal coordinates on
-Sym(n) used by the Lyapunov machinery.  Everything here is a pure function
-of its inputs.
+quantities (among them the real Schur form that one certificate shares),
+induced and nuclear norms, and the orthonormal coordinates on Sym(n) used
+by the Lyapunov machinery.  Everything here is a pure function of its
+inputs.
 """
 
 import math
@@ -19,6 +20,7 @@ __all__ = [
     "SpaceNorm",
     "GrowthBound",
     "NormInterval",
+    "SchurForm",
     "as_matrix",
     "as_square",
     "as_vector",
@@ -33,6 +35,7 @@ __all__ = [
     "gramian_doubling",
     "eigenvalues",
     "spectral_abscissa",
+    "schur_form",
     "spectrum_is_psd",
     "growth_fit",
     "induced_norm",
@@ -303,6 +306,61 @@ def spectrum_is_psd(lam, rtol, floor=1e-300):
     return bool(lam[0] >= -rtol * max(floor, -float(lam[0]), float(lam[-1])))
 
 
+@dataclass(frozen=True)
+class SchurForm:
+    """Real Schur form A' = U T U' of a generator A, with the eigenvalues
+    w = wr + i wi of A that LAPACK reads off T's diagonal blocks.
+
+    One form serves every spectral question about A: its abscissa, the
+    eigenvalues for the Hautus and resonance tests, and the Bartels-Stewart
+    solves of ``solve``."""
+
+    A: np.ndarray
+    T: np.ndarray
+    U: np.ndarray
+    w: np.ndarray
+
+    @property
+    def abscissa(self):
+        """max Re(lambda) over the spectrum of A."""
+        return float(np.max(self.w.real))
+
+    def shift(self, eps):
+        """The form of A + eps I: the same U, with T + eps I."""
+        eye = np.eye(self.A.shape[0])
+        return SchurForm(A=self.A + eps * eye, T=self.T + eps * eye, U=self.U,
+                         w=self.w + eps)
+
+    def solve(self, R):
+        """X with A'X + XA = R, by one LAPACK trsyl solve of
+        T Y + Y T' = U'RU and X = U Y U' (Bartels-Stewart).
+
+        X is not symmetrised.  trsyl's info = 1 (a near-resonant T, solved
+        perturbed) is left to the caller's check of X."""
+        T, U = self.T, self.U
+        trsyl = scipy.linalg.get_lapack_funcs("trsyl", (T,))
+        Y, factor, info = trsyl(T, T, U.T.dot(R.dot(U)), tranb="T")
+        if info < 0:
+            raise NumericalError(f"Lyapunov solve: trsyl argument {-info} is illegal")
+        return U.dot(factor * Y).dot(U.T)
+
+
+def schur_form(A):
+    """SchurForm of A from one LAPACK gees call on A' (after its workspace
+    query), made as SciPy's real Schur decomposition of A' makes it, so T
+    and U match that decomposition bit for bit.
+
+    Raises NumericalError when the QR algorithm does not converge."""
+    A = as_square(A, "A")
+    gees = scipy.linalg.get_lapack_funcs("gees", (A,))
+    no_sort = lambda *_: None  # noqa: E731 (never called: sort_t = 0)
+    lwork = int(gees(no_sort, A.T, lwork=-1)[-2][0].real)
+    T, _, wr, wi, U, _, info = gees(no_sort, A.T, lwork=lwork)
+    if info != 0:
+        raise NumericalError(f"Schur form of shape {A.shape} failed: gees info {info}")
+    return SchurForm(A=A, T=T, U=U, w=wr + 1j * wi)
+
+
 #: safety margin between the spectral bound and the envelope's decay rate
 GROWTH_MARGIN = 0.05
 
@@ -311,21 +369,22 @@ GROWTH_MARGIN = 0.05
 LOGNORM_SLACK = 1.01
 
 
-def growth_fit(A, alpha):
-    """Envelope ||e^{tA}||_2 <= M e^{-eps t} for all t >= 0.
+def growth_fit(form):
+    """Envelope ||e^{tA}||_2 <= M e^{-eps t} for all t >= 0, from the
+    SchurForm of A.
 
-    ``alpha`` is the spectral abscissa of A, which every caller has already
-    computed; eps = 0.95 |alpha|.  With A_eps = A + eps I, any P > 0 with
-    R = A_eps'P + P A_eps <= 0 bounds the envelope by M = sqrt(kappa(P)):
-    for y = e^{t A_eps} x, d/dt y'Py = y'Ry <= 0, so
+    eps = 0.95 |alpha| with alpha the form's abscissa.  With A_eps = A +
+    eps I, any P > 0 with R = A_eps'P + P A_eps <= 0 bounds the envelope by
+    M = sqrt(kappa(P)): for y = e^{t A_eps} x, d/dt y'Py = y'Ry <= 0, so
     lambda_min(P) |y|^2 <= y'Py <= x'Px <= lambda_max(P) |x|^2, and
     e^{tA} = e^{-eps t} e^{t A_eps}.
 
     If mu = lambda_max(A_eps + A_eps') <= 0, P = I qualifies and M = 1 (the
     logarithmic-norm bound, taken by every normal A).  Otherwise one
-    Lyapunov solve A_eps'P_I + P_I A_eps = -I gives two candidates, P_I
-    and P_c = I + c P_I with c just above mu, whose R is
-    A_eps + A_eps' - cI.  A candidate counts only if its computed R has
+    Lyapunov solve A_eps'P_I + P_I A_eps = -I on the shifted form
+    T + eps I gives two candidates, P_I and P_c = I + c P_I with c just
+    above mu, whose R is A_eps + A_eps' - cI.  A candidate counts only if
+    R, computed from A_eps and the back-transformed P, has
     lambda_max < 0 and its lambda_min(P) > 0; M is the smaller sqrt(kappa).
 
     Raises
@@ -335,16 +394,17 @@ def growth_fit(A, alpha):
     NumericalError
         If neither candidate passes its check.
     """
-    A = as_square(A, "A")
+    alpha = form.abscissa
     if alpha >= 0.0:
         raise NotStableError(f"generator is not stable: spectral abscissa {alpha:.3e}")
     eps = -alpha * (1.0 - GROWTH_MARGIN)
-    n = A.shape[0]
-    A_eps = A + eps * np.eye(n)
+    shifted = form.shift(eps)
+    A_eps = shifted.A
+    n = A_eps.shape[0]
     mu = float(np.linalg.eigvalsh(A_eps + A_eps.T)[-1])
     if mu <= 0.0:
         return GrowthBound(M=1.0, eps=eps)
-    P_I = scipy.linalg.solve_continuous_lyapunov(A_eps.T, -np.eye(n))
+    P_I = shifted.solve(-np.eye(n))
     P_I = 0.5 * (P_I + P_I.T)
     if not np.all(np.isfinite(P_I)):
         raise NumericalError(f"shifted Lyapunov solve is not finite (eps {eps:.3e})")

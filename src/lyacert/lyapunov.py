@@ -7,8 +7,9 @@ pairing <<P, x tensor y>> = <Px, y>.  This module realizes both, the
 matrix of L_A on the orthonormal Sym(n) coordinates of linalg.sym_to_vec,
 the projective tensor norms, the symmetric calculus, the RKHS
 factorization Q = C'C, and two independent Lyapunov solvers: -L_A^{-1}Q
-by a Schur direct solve, and the integral of the implemented semigroup by
-horizon doubling.
+by Bartels-Stewart on the real Schur form of A' (linalg.SchurForm, which a
+caller that already holds the form passes in place of A), and the integral
+of the implemented semigroup by horizon doubling.
 """
 
 import math
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .cones import ConeSpec, decompose_pm
 from .exceptions import (
@@ -29,16 +29,17 @@ from .exceptions import (
 )
 from .linalg import (
     NormInterval,
+    SchurForm,
     as_matrix,
     as_square,
     as_vector,
     check_symmetric,
     dual_exponent,
-    eigenvalues,
     expm,
     gramian_doubling,
     induced_norm,
     nuclear_norm,
+    schur_form,
     spectral_abscissa,  # noqa: F401 (kept importable from this module)
     spectrum_is_psd,
     sym_dim,
@@ -366,10 +367,10 @@ def rkhs_factor(Q, rank_tol=1e-12):
     return (np.sqrt(lam[keep])[:, None]) * U[:, keep].T
 
 
-def _check_nonresonant(A):
-    """Eigenvalues of A; raises on the first pair (i <= j, row-major) with
-    lambda_i + lambda_j = 0."""
-    w = eigenvalues(A)
+def _check_nonresonant(w):
+    """Raise on the first pair (i <= j, row-major) of the eigenvalues w,
+    taken in np.sort_complex order, with lambda_i + lambda_j = 0."""
+    w = np.sort_complex(w)
     resonant = np.triu(np.abs(w[:, None] + w[None, :]) < RESONANCE_TOL)
     if resonant.any():
         i, j = (int(k[0]) for k in np.nonzero(resonant))
@@ -377,35 +378,32 @@ def _check_nonresonant(A):
             f"resonant spectrum: lambda_{i} + lambda_{j} = {w[i] + w[j]:.3e}",
             pair=(complex(w[i]), complex(w[j])),
         )
-    return w
 
 
 def lyap_solve_direct(A, Q, residual_rtol=1e-8):
-    """Solve A'P + PA = -Q by the Schur (Bartels-Stewart) method.
+    """Solve A'P + PA = -Q by Bartels-Stewart on the real Schur form of A'.
 
-    One refinement step follows; P passes the backward-error gate
+    ``A`` is the generator or its linalg.SchurForm; a caller that holds the
+    form passes it, and the form is built here otherwise.  The Schur solve
+    is followed by one refinement step on its residual, through the same
+    form; P passes the backward-error gate
     ||A'P + PA + Q|| <= residual_rtol (2 ||A|| ||P|| + ||Q||) (Frobenius).
     Raises ResonantSpectrumError when some eigenvalue pair of A sums to
-    zero, carrying the offending pair.
+    zero, carrying the offending pair, and NumericalError when P is not
+    finite.
     """
-    A = as_square(A, "A")
+    form = A if isinstance(A, SchurForm) else schur_form(A)
+    A = form.A
     Q = check_symmetric(Q, "Q")
     if Q.shape != A.shape:
         raise DimensionError(f"Q must match A, got {Q.shape} vs {A.shape}")
-    _check_nonresonant(A)
-    # one real Schur form A' = U T U' serves the solve and its refinement;
-    # each step is scipy.linalg.solve_continuous_lyapunov's own arithmetic
-    T, U = scipy.linalg.schur(A.T, output="real")
-    trsyl = scipy.linalg.get_lapack_funcs("trsyl", (T,))
+    _check_nonresonant(form.w)
     P = np.zeros_like(Q)
-    for _ in range(2):  # the Schur solve, then one step on its residual
-        R = -(lyap_apply(A, P) + Q)
-        # info = 1 (near-resonant, solved perturbed) is left to the residual gate
-        Y, factor, info = trsyl(T, T, U.T.dot(R.dot(U)), tranb="T")
-        if info < 0:
-            raise NumericalError(f"Lyapunov solve: trsyl argument {-info} is illegal")
-        D = U.dot(factor * Y).dot(U.T)
-        P = P + 0.5 * (D + D.T)
+    # an overflowing step leaves a non-finite P, which the check below refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2):  # the Schur solve, then one step on its residual
+            D = form.solve(-(lyap_apply(A, P) + Q))
+            P = P + 0.5 * (D + D.T)
     if not np.all(np.isfinite(P)):
         raise NumericalError("Lyapunov solve: P is not finite")
     # rounding alone leaves a residual of about eps ||A|| ||P||

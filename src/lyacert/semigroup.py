@@ -34,6 +34,7 @@ from .linalg import (
     expm,
     growth_fit,
     integral_exp,
+    schur_form,
     spectral_abscissa,
     sym_to_vec,
     vector_norm,
@@ -261,7 +262,7 @@ def s_infinity(probe):
             diagnostics={"rel_err": err, "t_large": t_large},
         )
     if probe.cone is not None:
-        result = map_preserves_cone(probe.cone, S_inf, seed=0)
+        result = map_preserves_cone(probe.cone, S_inf)
         if not result.preserves:
             raise InternalInconsistencyError(
                 "-A^{-1} fails to preserve the cone of a positive stable "
@@ -363,10 +364,11 @@ class StabilityReport:
 
 
 def stability_report(probe):
-    """Assemble the per-notion stability verdicts for a probe."""
-    alpha = spectral_abscissa(probe.A)
-    exponential = alpha < -ABSCISSA_TOL
-    growth = growth_fit(probe.A, alpha) if exponential else None
+    """Assemble the per-notion stability verdicts for a probe; the
+    exponential verdict and the growth bound read one Schur form of A."""
+    form = schur_form(probe.A)
+    exponential = form.abscissa < -ABSCISSA_TOL
+    growth = growth_fit(form) if exponential else None
     weak = weak_L1_stable_on_cone(probe) if probe.cone is not None else None
     return StabilityReport(
         exponential=exponential,

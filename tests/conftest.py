@@ -104,3 +104,40 @@ def simpson_matrix_quadrature(f, a, b, nodes):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Counts the spectral factorizations made while a test runs.
+
+    ``gees`` counts LAPACK gees Schur factorizations (workspace queries
+    excluded), ``eigvals`` holds the argument of every np.linalg.eigvals
+    call; scipy.linalg.schur and solve_continuous_lyapunov raise."""
+    import scipy.linalg
+
+    counts = {"gees": 0, "eigvals": []}
+    get_lapack_funcs = scipy.linalg.get_lapack_funcs
+    eigvals = np.linalg.eigvals
+
+    def counted_lapack(names, arrays):
+        func = get_lapack_funcs(names, arrays)
+        if names != "gees":
+            return func
+
+        def gees(*args, **kwargs):
+            counts["gees"] += kwargs.get("lwork") != -1
+            return func(*args, **kwargs)
+        return gees
+
+    def counted_eigvals(a):
+        counts["eigvals"].append(np.array(a))
+        return eigvals(a)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a second Schur route was called")
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counted_lapack)
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    monkeypatch.setattr(scipy.linalg, "schur", forbidden)
+    monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", forbidden)
+    return counts

@@ -202,6 +202,29 @@ class TestWonhamCertify:
         assert d["tool_version"]
 
 
+class TestOneSchurForm:
+    @pytest.mark.parametrize("problem, verdict", [
+        ({"A": [[0.0, 1.0], [-2.0, -3.0]], "C": [[1.0, 0.0]]}, VERDICT_STABLE),
+        ({"A": [[-1.0, 2.0], [0.0, -3.0]], "Q": [[2.0, 1.0], [1.0, 1.0]], "t0": 1.0},
+         VERDICT_STABLE),
+        ({"A": [[1.0, 1.0], [0.0, -2.0]], "C": [[1.0, 1.0]]}, VERDICT_UNSTABLE),
+        ({"A": [[0.0, 1.0], [-1.0, 0.0]], "C": [[1.0, 0.0]]}, VERDICT_UNSTABLE),
+    ])
+    def test_one_factorization_per_certificate(self, factorizations, problem,
+                                               verdict):
+        # one gees serves the Hautus test, the abscissa, the direct solve and
+        # the growth bound; eigvals runs only on the injection's A - FC
+        spec = problem_from_dict(problem)
+        cert = wonham_certify(spec)
+        assert cert.verdict == verdict
+        assert factorizations["gees"] == 1
+        F = cert.detectability.F
+        C = spec.C if spec.C is not None else lyacert.certify.output_map(None, spec.Q)
+        assert len(factorizations["eigvals"]) == 1
+        np.testing.assert_allclose(factorizations["eigvals"][0], spec.A - F @ C,
+                                   atol=1e-12)
+
+
 class TestGallery:
     def test_fixture_corpus(self, tmp_path):
         records = run_gallery(tmp_path / "gallery")

@@ -214,17 +214,18 @@ class TestMapPreservesCone:
             np.testing.assert_allclose(L, B.T @ np.kron(M.T, M.T) @ B, atol=1e-12)
 
     def test_psd_randomized_finds_violation(self):
-        # flips the sign of the E_11 coordinate: sends E_11 to -E_11
+        # flips the sign of the E_11 coordinate: sends E_11 to -E_11, and
+        # any sample with a nonzero (0, 0) entry out of the cone
         cone = ConeSpec.psd(2)
         L = np.diag([-1.0, 1.0, 1.0])
-        result = map_preserves_cone(cone, L, samples=64, seed=3)
+        result = map_preserves_cone(cone, L)
         assert not result.preserves
         assert result.witness is not None
 
     def test_psd_randomized_passes_congruence_matrix(self, rng):
         cone = ConeSpec.psd(3)
         L = CongruenceMap(M=rng.standard_normal((3, 3))).matrix()
-        assert map_preserves_cone(cone, L, samples=32, seed=0).preserves
+        assert map_preserves_cone(cone, L).preserves
 
     def test_congruence_on_wrong_cone_rejected(self):
         with pytest.raises(UnsupportedConeOperation):

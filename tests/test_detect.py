@@ -340,6 +340,14 @@ class TestObserverAudit:
         with pytest.raises(NotStableError):
             observer_implies_detector_audit(pair, t0=1.0)
 
+    def test_one_schur_form(self, factorizations):
+        # the abscissa and both Lyapunov solves share one gees
+        pair = ObservedPair(A=np.array([[-1.0, 2.0], [0.0, -3.0]]),
+                            C=np.array([[1.0, 0.0]]))
+        observer_implies_detector_audit(pair, t0=1.0)
+        assert factorizations["gees"] == 1
+        assert factorizations["eigvals"] == []
+
     def test_non_observer_rejected(self):
         pair = ObservedPair(A=np.diag([-1.0, -2.0]), C=np.zeros((1, 2)))
         with pytest.raises(NotObserverError):

@@ -19,6 +19,7 @@ from lyacert.linalg import (
     induced_norm,
     integral_exp,
     nuclear_norm,
+    schur_form,
     spectral_abscissa,
     sym_basis,
     sym_to_vec,
@@ -165,6 +166,57 @@ class TestSpectralAbscissa:
         assert spectral_abscissa(A) == pytest.approx(-1.0)
 
 
+class TestSchurForm:
+    def test_matches_scipy_schur_of_transpose(self, rng):
+        import scipy.linalg
+
+        for n in (1, 2, 5, 13):
+            A = random_matrix(rng, n)
+            form = schur_form(A)
+            T, U = scipy.linalg.schur(A.T, output="real")
+            assert np.array_equal(form.T, T) and np.array_equal(form.U, U)
+            assert np.array_equal(form.A, A)
+            np.testing.assert_allclose(np.sort_complex(form.w),
+                                       np.sort_complex(np.linalg.eigvals(A)),
+                                       atol=1e-10)
+            assert form.abscissa == float(form.w.real.max())
+
+    def test_rotation_eigenvalues(self):
+        form = schur_form(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        np.testing.assert_allclose(np.sort_complex(form.w), [-1j, 1j], atol=1e-15)
+        assert form.abscissa == pytest.approx(0.0, abs=1e-15)
+
+    def test_solve_and_shift(self, rng):
+        A = random_matrix(rng, 6)
+        R = random_matrix(rng, 6)
+        for eps in (0.0, 0.7):
+            form = schur_form(A).shift(eps)
+            A_eps = A + eps * np.eye(6)
+            X = form.solve(R)
+            assert np.linalg.norm(A_eps.T @ X + X @ A_eps - R) <= 1e-10 * (
+                np.linalg.norm(R) + np.linalg.norm(A_eps) * np.linalg.norm(X))
+            assert form.abscissa == pytest.approx(spectral_abscissa(A) + eps)
+
+    def test_gees_failure_is_numerical_error(self, monkeypatch):
+        import scipy.linalg
+
+        get_lapack_funcs = scipy.linalg.get_lapack_funcs
+
+        def failing(names, arrays):
+            gees = get_lapack_funcs(names, arrays)
+            if names != "gees":
+                return gees
+
+            def no_convergence(*args, **kwargs):
+                *out, info = gees(*args, **kwargs)
+                return (*out, info if kwargs.get("lwork") == -1 else 1)
+            return no_convergence
+
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", failing)
+        with pytest.raises(NumericalError, match="gees info 1"):
+            schur_form(np.eye(2))
+
+
 def envelope_holds(A, gb, horizon, steps):
     """||e^{tA}||_2 <= M e^{-eps t} (1 + 1e-9) on a uniform grid of [0, horizon]."""
     ts, mats = expm_grid(A, horizon, steps)
@@ -175,7 +227,7 @@ def envelope_holds(A, gb, horizon, steps):
 class TestGrowthFit:
     def test_normal_matrix(self):
         A = np.diag([-1.0, -2.0])
-        gb = growth_fit(A, spectral_abscissa(A))
+        gb = growth_fit(schur_form(A))
         assert gb.eps == pytest.approx(0.95)
         assert gb.M == pytest.approx(1.0, abs=1e-9)
 
@@ -183,7 +235,7 @@ class TestGrowthFit:
     def test_jordan_block_bound_holds(self, k, sup):
         # a grid fit misses these sups between or beyond its grid points
         A = -np.eye(k) + np.diag(np.ones(k - 1), 1)
-        gb = growth_fit(A, spectral_abscissa(A))
+        gb = growth_fit(schur_form(A))
         assert gb.eps == pytest.approx(0.95)
         assert gb.M >= sup
         assert envelope_holds(A, gb, 400.0, 40000)
@@ -199,7 +251,7 @@ class TestGrowthFit:
         rng = np.random.default_rng(seed)
         B = scale * random_matrix(rng, n)
         A = B - (spectral_abscissa(B) - alpha) * np.eye(n)
-        gb = growth_fit(A, spectral_abscissa(A))
+        gb = growth_fit(schur_form(A))
         assert envelope_holds(A, gb, 30.0 / gb.eps, 3000)
 
     @pytest.mark.xfail(raises=NumericalError,
@@ -211,18 +263,18 @@ class TestGrowthFit:
         B = np.random.default_rng(2).standard_normal((30, 30)) / np.sqrt(30)
         T = np.triu(B)
         A = T - (spectral_abscissa(T) + 1e-6) * np.eye(30)
-        gb = growth_fit(A, spectral_abscissa(A))
+        gb = growth_fit(schur_form(A))
         assert envelope_holds(A, gb, 30.0 / gb.eps, 40000)
 
     def test_unstable_rejected(self):
         with pytest.raises(NotStableError):
-            growth_fit(np.zeros((2, 2)), 0.0)
+            growth_fit(schur_form(np.zeros((2, 2))))
 
     def test_bound_holds_on_dense_grid(self, rng):
         from conftest import stable_matrix
 
         A = stable_matrix(rng, 5)
-        gb = growth_fit(A, spectral_abscissa(A))
+        gb = growth_fit(schur_form(A))
         for t in np.linspace(0, 10.0 / gb.eps, 50):
             assert np.linalg.norm(expm(A, t), 2) <= gb.M * np.exp(-gb.eps * t) * (
                 1 + 1e-6
@@ -239,7 +291,7 @@ class TestGrowthFit:
     def test_near_marginal_generator(self):
         # sup_t t e^{-5e-11 t} = 7.4e9 at t = 2e10
         A = np.array([[-1e-9, 1.0], [0.0, -1e-9]])
-        gb = growth_fit(A, spectral_abscissa(A))
+        gb = growth_fit(schur_form(A))
         assert np.isfinite(gb.M) and gb.M >= 7.4e9
 
 

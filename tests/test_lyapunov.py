@@ -11,6 +11,7 @@ from lyacert.linalg import (
     NormInterval,
     expm,
     induced_norm,
+    schur_form,
     spectral_abscissa,
     sym_basis,
     sym_to_vec,
@@ -364,13 +365,16 @@ class TestDirectSolver:
 
     def test_backward_error_gate_rejects_perturbed_solution(self, monkeypatch):
         # both Schur steps return 1.01 Y, which leaves P = 0.9999 P_true:
-        # relative backward error about 3e-5, far above the 1e-8 gate
+        # relative backward error about 3e-5, far above the 1e-8 gate; the
+        # Schur form's gees passes through unchanged
         import scipy.linalg
 
         get_lapack_funcs = scipy.linalg.get_lapack_funcs
 
         def perturbed(names, arrays):
             trsyl = get_lapack_funcs(names, arrays)
+            if names != "trsyl":
+                return trsyl
 
             def scaled(*args, **kwargs):
                 Y, factor, info = trsyl(*args, **kwargs)
@@ -395,6 +399,26 @@ class TestDirectSolver:
                     A.T, -(lyap_apply(A, P) + Q))
                 P = P + 0.5 * (D + D.T)
             assert np.array_equal(lyap_solve_direct(A, Q), P)
+
+    def test_schur_form_argument_is_bit_identical(self, rng):
+        for n in range(1, 13):
+            A = random_matrix(rng, n)
+            Q = random_psd(rng, n)
+            assert np.array_equal(lyap_solve_direct(schur_form(A), Q),
+                                  lyap_solve_direct(A, Q))
+
+    def test_resonant_reason_follows_sorted_eigenvalues(self, rng):
+        # +-i in a rotated basis (the order gees reports them in varies with
+        # the basis), next to a decaying mode at -1
+        S, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        A = S @ np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]) @ S.T
+        with pytest.raises(ResonantSpectrumError) as excinfo:
+            lyap_solve_direct(A, np.eye(3))
+        lam_i, lam_j = excinfo.value.pair
+        # sort_complex order is -1, -i, +i: the first resonant pair is (-i, +i)
+        assert "lambda_1 + lambda_2" in str(excinfo.value)
+        assert lam_i.imag < 0 < lam_j.imag
+        assert abs(lam_i + 1j) < 1e-12 and abs(lam_j - 1j) < 1e-12
 
 
 class TestIntegralSolver:
