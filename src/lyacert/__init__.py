@@ -52,7 +52,6 @@ from .cones import (  # noqa: F401
 from .semigroup import (  # noqa: F401
     SemigroupProbe,
     StabilityReport,
-    is_exponentially_stable,
     lemma_AS_suite,
     s_infinity,
     stability_report,

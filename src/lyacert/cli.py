@@ -65,11 +65,12 @@ def _emit(payload, out):
 
 
 def cmd_certify(args):
+    # not an argparse group: its errors exit 2, the code of Unstable
+    if bool(args.input) == bool(args.batch):
+        print("error: give exactly one of --input and --batch", file=sys.stderr)
+        return 1
     if args.batch:
         return _certify_batch(args.batch, args.out, args.workers)
-    if not args.input:
-        print("error: --input or --batch is required", file=sys.stderr)
-        return 1
     spec = _load_problem(args.input)
     cert = wonham_certify(spec)
     _emit(cert.to_dict(), args.out)

@@ -98,13 +98,12 @@ class ObservedPair:
 def hautus_detectable(pair):
     """Rank test: for every eigenvalue with Re >= -DECAY_TOL, the stacked
     matrix [A - lambda I; C] must have full column rank
-    (sigma_min >= DECAY_TOL ||A||)."""
+    (sigma_min >= DECAY_TOL max(||A||, 1)); a stable A needs no ||A||."""
     A, C = pair.A, pair.C
     n = pair.n
-    scale = max(float(np.linalg.norm(A, 2)), 1.0)
-    for lam in pair.schur.w:
-        if lam.real < -DECAY_TOL:
-            continue
+    w = pair.schur.w[pair.schur.w.real >= -DECAY_TOL]
+    scale = max(float(np.linalg.norm(A, 2)), 1.0) if w.size else 1.0
+    for lam in w:
         stacked = np.vstack([A - lam * np.eye(n), C.astype(complex)])
         smin = float(np.linalg.svd(stacked, compute_uv=False)[-1])
         if smin < DECAY_TOL * scale:
@@ -164,7 +163,8 @@ def _l2_decision(A, basis):
 def stabilizing_output_injection(pair):
     """F with A - FC exponentially stable, via the dual Riccati equation
     A S + S A' - S C'C S + I = 0 solved on the Hamiltonian pencil;
-    F = S C'.  The postcondition spectral_abscissa(A - FC) < 0 is verified."""
+    F = S C'.  The postcondition spectral_abscissa(A - FC) < 0 is verified
+    on the real Schur form of A - FC (one LAPACK gees, as for A itself)."""
     A, C = pair.A, pair.C
     n, m = pair.n, pair.m
     if not hautus_detectable(pair):

@@ -33,7 +33,6 @@ __all__ = [
     "cesaro_integral",
     "gramian_integral",
     "gramian_doubling",
-    "eigenvalues",
     "spectral_abscissa",
     "schur_form",
     "spectrum_is_psd",
@@ -247,6 +246,11 @@ def gramian_integral(A, Q, t):
     With E = exp(t * [[-A', Q], [0, A]]) partitioned into n x n blocks,
     W(t) = E22' @ E12 (Van Loan's construction); exact up to expm accuracy.
     """
+    return _van_loan(A, Q, t)[0]
+
+
+def _van_loan(A, Q, t):
+    """(W(t), e^{tA}) from gramian_integral's exponential E: e^{tA} = E22."""
     A = as_square(A, "A")
     Q = as_square(Q, "Q")
     if Q.shape != A.shape:
@@ -255,22 +259,20 @@ def gramian_integral(A, Q, t):
     if t < 0:
         raise ValueError("time must be nonnegative")
     n = A.shape[0]
-    if t == 0.0:
-        return np.zeros((n, n))
     M = np.zeros((2 * n, 2 * n))
     M[:n, :n] = -A.T
     M[:n, n:] = Q
     M[n:, n:] = A
     E = scipy.linalg.expm(t * M)
     W = E[n:, n:].T @ E[:n, n:]
-    return 0.5 * (W + W.T)
+    return 0.5 * (W + W.T), E[n:, n:]
 
 
 def gramian_doubling(A, Q, t):
     """Yield (t, W(t)) at t, 2t, 4t, ... by W(2t) = W(t) + e^{tA'} W(t) e^{tA}
-    (squared Smith iteration); ends after the first non-finite W or e^{tA}."""
-    W = gramian_integral(A, Q, t)
-    E = expm(A, t)
+    (squared Smith iteration), from the one exponential that gives W(t) and
+    e^{tA} (gramian_integral's); ends after the first non-finite W or e^{tA}."""
+    W, E = _van_loan(A, Q, t)
     while True:
         yield t, W
         if not np.all(np.isfinite(W)) or not np.all(np.isfinite(E)):
@@ -284,20 +286,10 @@ def gramian_doubling(A, Q, t):
 # Spectral quantities
 # ---------------------------------------------------------------------------
 
-def eigenvalues(A):
-    """Eigenvalues of A; symmetric input routes to the symmetric solver."""
-    A = as_square(A, "A")
-    try:
-        if np.abs(A - A.T).max() <= 1e-12 * max(1.0, np.abs(A).max()):
-            return np.linalg.eigvalsh(A).astype(complex)
-        return np.linalg.eigvals(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed on shape {A.shape}: {exc}") from exc
-
-
 def spectral_abscissa(A):
-    """max Re(lambda) over the spectrum of A."""
-    return float(np.max(eigenvalues(A).real))
+    """max Re(lambda) over the spectrum of A, read from schur_form(A): one
+    LAPACK gees, the form every spectral question of a certificate reads."""
+    return schur_form(A).abscissa
 
 
 def spectrum_is_psd(lam, rtol, floor=1e-300):

@@ -428,8 +428,8 @@ def lyap_solve_integral(A, Q):
 
     Doubles from h = 1/(1 + ||A||_1) until an increment W(2t) - W(t), each
     checked PSD, is below INTEGRAL_RTOL * ||W(t)||.  Raises DivergenceError
-    when W(t) overflows (unstable A) or has not converged after
-    MAX_DOUBLINGS doublings (marginal A).
+    when W(t) or e^{tA} overflows (unstable A; named by t) or has not
+    converged after MAX_DOUBLINGS doublings (marginal A).
     """
     A = as_square(A, "A")
     Q = check_symmetric(Q, "Q")
@@ -454,7 +454,8 @@ def lyap_solve_integral(A, Q):
             P = W
             if float(np.linalg.norm(inc)) <= INTEGRAL_RTOL * w_norm:
                 return 0.5 * (P + P.T)
-    raise DivergenceError(
-        f"integral did not converge within {MAX_DOUBLINGS} doublings "
-        f"(horizon t = {t:.3e})"
-    )
+    if k < MAX_DOUBLINGS:  # gramian_doubling stopped on e^{tA}
+        reason = f": e^{{tA}} overflows at t = {t:.3e} after {k} doublings"
+    else:
+        reason = f" within {MAX_DOUBLINGS} doublings (horizon t = {t:.3e})"
+    raise DivergenceError(f"integral did not converge{reason}")

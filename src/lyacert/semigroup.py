@@ -47,7 +47,6 @@ __all__ = [
     "DetectorResult",
     "LemmaReport",
     "trajectory",
-    "is_exponentially_stable",
     "weak_L1_stable_on_cone",
     "weak_detector_check",
     "s_infinity",
@@ -226,11 +225,6 @@ def trajectory(probe, x, grid):
         v = expm(probe.A, t) @ x
         out.append((t, v, vector_norm(v, p)))
     return out
-
-
-def is_exponentially_stable(probe):
-    """Spectral abscissa < -ABSCISSA_TOL; equivalent to ||T(t)|| <= M e^{-eps t}."""
-    return spectral_abscissa(probe.A) < -ABSCISSA_TOL
 
 
 def s_infinity(probe):

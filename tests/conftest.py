@@ -108,36 +108,41 @@ def rng():
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """Counts the spectral factorizations made while a test runs.
+    """Records the spectral factorizations made while a test runs.
 
-    ``gees`` counts LAPACK gees Schur factorizations (workspace queries
-    excluded), ``eigvals`` holds the argument of every np.linalg.eigvals
-    call; scipy.linalg.schur and solve_continuous_lyapunov raise."""
+    ``gees`` holds the generator A of every LAPACK gees Schur factorization
+    (workspace queries excluded; linalg.schur_form factors A', so A is the
+    transpose of the argument), ``eigvals`` the argument of every
+    np.linalg.eigvals and np.linalg.eig call; scipy.linalg.schur and
+    solve_continuous_lyapunov raise."""
     import scipy.linalg
 
-    counts = {"gees": 0, "eigvals": []}
+    counts = {"gees": [], "eigvals": []}
     get_lapack_funcs = scipy.linalg.get_lapack_funcs
-    eigvals = np.linalg.eigvals
 
     def counted_lapack(names, arrays):
         func = get_lapack_funcs(names, arrays)
         if names != "gees":
             return func
 
-        def gees(*args, **kwargs):
-            counts["gees"] += kwargs.get("lwork") != -1
-            return func(*args, **kwargs)
+        def gees(select, a, **kwargs):
+            if kwargs.get("lwork") != -1:
+                counts["gees"].append(np.array(a).T)
+            return func(select, a, **kwargs)
         return gees
 
-    def counted_eigvals(a):
-        counts["eigvals"].append(np.array(a))
-        return eigvals(a)
+    def recorded(solver):
+        def call(a):
+            counts["eigvals"].append(np.array(a))
+            return solver(a)
+        return call
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a second Schur route was called")
 
     monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counted_lapack)
-    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    monkeypatch.setattr(np.linalg, "eigvals", recorded(np.linalg.eigvals))
+    monkeypatch.setattr(np.linalg, "eig", recorded(np.linalg.eig))
     monkeypatch.setattr(scipy.linalg, "schur", forbidden)
     monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", forbidden)
     return counts

@@ -20,7 +20,11 @@ from lyacert.certify import (
     run_gallery,
     wonham_certify,
 )
-from lyacert.exceptions import ProblemFormatError, ResonantSpectrumError
+from lyacert.exceptions import (
+    InternalInconsistencyError,
+    ProblemFormatError,
+    ResonantSpectrumError,
+)
 from lyacert.linalg import spectral_abscissa
 from lyacert.lyapunov import lyap_solve_direct
 
@@ -202,6 +206,24 @@ class TestWonhamCertify:
         assert d["tool_version"]
 
 
+class TestKrylovMisrank:
+    @pytest.mark.xfail(strict=True, raises=InternalInconsistencyError, reason=(
+        "ROADMAP item 1: the SVD of [C; CA; ...; CA^{n-1}] misranks "
+        "single-output pairs at n >= 20"))
+    def test_single_output_stable_pair_certifies(self):
+        # planted like benchmarks/problems.stable: A = S T S' with T upper
+        # triangular, real spectrum in [-1.5, -0.5], one Gaussian output
+        n = 20
+        rng = np.random.default_rng(0)
+        lam = -0.5 - rng.uniform(0.05, 1.0, n)
+        lam[0] = -0.5
+        T = np.triu(rng.standard_normal((n, n)) * 0.5 / np.sqrt(n), 1) + np.diag(lam)
+        S, R = np.linalg.qr(rng.standard_normal((n, n)))
+        S = S * np.sign(np.diag(R))
+        spec = ProblemSpec(A=S @ T @ S.T, C=rng.standard_normal((1, n)))
+        assert wonham_certify(spec).verdict == VERDICT_STABLE
+
+
 class TestOneSchurForm:
     @pytest.mark.parametrize("problem, verdict", [
         ({"A": [[0.0, 1.0], [-2.0, -3.0]], "C": [[1.0, 0.0]]}, VERDICT_STABLE),
@@ -212,17 +234,18 @@ class TestOneSchurForm:
     ])
     def test_one_factorization_per_certificate(self, factorizations, problem,
                                                verdict):
-        # one gees serves the Hautus test, the abscissa, the direct solve and
-        # the growth bound; eigvals runs only on the injection's A - FC
+        # one gees of A serves the Hautus test, the abscissa, the direct
+        # solve and the growth bound; the second one is the injection's
+        # A - FC, and no eigenvalue solver runs
         spec = problem_from_dict(problem)
         cert = wonham_certify(spec)
         assert cert.verdict == verdict
-        assert factorizations["gees"] == 1
         F = cert.detectability.F
         C = spec.C if spec.C is not None else lyacert.certify.output_map(None, spec.Q)
-        assert len(factorizations["eigvals"]) == 1
-        np.testing.assert_allclose(factorizations["eigvals"][0], spec.A - F @ C,
-                                   atol=1e-12)
+        first, second = factorizations["gees"]
+        np.testing.assert_array_equal(first, spec.A)
+        np.testing.assert_allclose(second, spec.A - F @ C, atol=1e-12)
+        assert factorizations["eigvals"] == []
 
 
 class TestGallery:

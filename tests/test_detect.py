@@ -50,6 +50,31 @@ class TestHautus:
         pair = ObservedPair(A=A, C=np.eye(3) + 0.1 * rng.standard_normal((3, 3)))
         assert hautus_detectable(pair)
 
+    @pytest.mark.parametrize("stable", [True, False])
+    def test_no_svd_on_a_stable_generator(self, rng, monkeypatch, stable):
+        # ||A||_2 scales the rank test, which only non-decaying modes need
+        svds = []
+        svd, norm = np.linalg.svd, np.linalg.norm
+
+        def counted_svd(a, *args, **kwargs):
+            svds.append("svd")
+            return svd(a, *args, **kwargs)
+
+        def counted_norm(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                svds.append("norm")
+            return norm(x, ord, *args, **kwargs)
+
+        A = stable_matrix(rng, 4) if stable else unstable_matrix(rng, 4)
+        pair = ObservedPair(A=A, C=rng.standard_normal((2, 4)))
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(np.linalg, "norm", counted_norm)
+        assert hautus_detectable(pair)
+        if stable:
+            assert svds == []
+        else:
+            assert svds[:2] == ["norm", "svd"]
+
 
 class TestUnobservableSubspace:
     def test_invertible_output_observable(self):
@@ -345,7 +370,7 @@ class TestObserverAudit:
         pair = ObservedPair(A=np.array([[-1.0, 2.0], [0.0, -3.0]]),
                             C=np.array([[1.0, 0.0]]))
         observer_implies_detector_audit(pair, t0=1.0)
-        assert factorizations["gees"] == 1
+        assert len(factorizations["gees"]) == 1
         assert factorizations["eigvals"] == []
 
     def test_non_observer_rejected(self):

@@ -14,6 +14,7 @@ from lyacert.linalg import (
     cesaro_integral,
     expm,
     expm_grid,
+    gramian_doubling,
     gramian_integral,
     growth_fit,
     induced_norm,
@@ -147,6 +148,27 @@ class TestGramianIntegral:
         )
         W = gramian_integral(A, Q, t)
         assert np.linalg.norm(W - oracle) <= 1e-8 * np.linalg.norm(oracle)
+
+
+class TestGramianDoubling:
+    def test_one_exponential_per_run(self, rng, monkeypatch):
+        # e^{hA} is the lower-right block of the exponential that gives W(h)
+        import scipy.linalg
+
+        calls = []
+        scipy_expm = scipy.linalg.expm
+
+        def counted(M):
+            calls.append(M.shape)
+            return scipy_expm(M)
+
+        A = random_matrix(rng, 4) - 2.0 * np.eye(4)
+        Q = np.eye(4)
+        first = gramian_integral(A, Q, 0.25)
+        monkeypatch.setattr(scipy.linalg, "expm", counted)
+        run = [W for _, (_, W) in zip(range(6), gramian_doubling(A, Q, 0.25))]
+        assert calls == [(8, 8)]
+        np.testing.assert_array_equal(run[0], first)
 
 
 class TestSpectralAbscissa:

@@ -441,6 +441,17 @@ class TestIntegralSolver:
         with pytest.raises(DivergenceError):
             lyap_solve_integral(np.array([[1.0]]), np.array([[1.0]]))
 
+    def test_overflow_of_the_semigroup_is_named(self):
+        # Q does not see the unstable mode, so W(t) stays finite while
+        # e^{tA} overflows at t = 1024 (step 1/2, 11 doublings); the integral
+        # itself is finite here, diag(0, 5000)
+        with pytest.raises(DivergenceError) as exc:
+            lyap_solve_integral(np.diag([1.0, -1e-4]), np.diag([0.0, 1.0]))
+        assert str(exc.value) == (
+            "integral did not converge: e^{tA} overflows at t = 1.024e+03 "
+            "after 11 doublings"
+        )
+
     def test_rotation_diverges(self):
         with pytest.raises(DivergenceError):
             lyap_solve_integral(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2))

@@ -13,7 +13,6 @@ from lyacert.lyapunov import LyapunovOperator
 from lyacert.semigroup import (
     SemigroupProbe,
     _integrable,
-    is_exponentially_stable,
     is_metzler,
     lemma_AS_suite,
     s_infinity,
@@ -68,11 +67,12 @@ class TestTrajectory:
 
 class TestExponentialStability:
     def test_cases(self):
-        assert is_exponentially_stable(SemigroupProbe(A=np.diag([-1.0, -2.0])))
-        assert not is_exponentially_stable(
-            SemigroupProbe(A=np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        )
-        assert not is_exponentially_stable(SemigroupProbe(A=np.array([[1.0]])))
+        def exponential(A):
+            return stability_report(SemigroupProbe(A=np.asarray(A))).exponential
+
+        assert exponential(np.diag([-1.0, -2.0]))
+        assert not exponential([[0.0, 1.0], [-1.0, 0.0]])
+        assert not exponential([[1.0]])
 
 
 class TestWeakL1:
@@ -349,7 +349,7 @@ class TestPositivityAndConsistency:
         for _ in range(10):
             n = int(rng.integers(2, 6))
             probe = SemigroupProbe(A=stable_metzler(rng, n), cone=ConeSpec.orthant(n))
-            if is_exponentially_stable(probe):
+            if stability_report(probe).exponential:
                 assert weak_L1_stable_on_cone(probe).stable
 
     def test_stability_report_fields(self, rng):
