@@ -2,8 +2,9 @@
 
 Three closed proper cone variants: the nonnegative orthant on R^n, the
 positive semidefinite cone on Sym(n), and polyhedral cones given by
-generators.  Orthant and PSD cones are self-dual and generating; polyhedral
-cones support membership and duality only.
+generators.  Orthant and PSD cones are self-dual and generating; a
+polyhedral cone's dual need not be generating, so it has no
+positive/negative decomposition.
 """
 
 from dataclasses import dataclass, field
@@ -47,8 +48,8 @@ POLYHEDRAL = "polyhedral"
 MEMBERSHIP_TOL = 1e-10
 #: margin by which an order unit must lie inside the cone
 ORDER_UNIT_TOL = 1e-9
-#: cone elements sampled, and their seed, when map_preserves_cone tests a
-#: matrix on a PSD or polyhedral cone
+#: PSD matrices sampled, and their seed, when map_preserves_cone tests a
+#: plain matrix on the PSD cone (the one case it cannot decide exactly)
 MAP_SAMPLES = 32
 MAP_SEED = 0
 
@@ -152,11 +153,7 @@ def dual_cone_contains(cone, phi):
         return cone_contains(cone, phi)
     phi = as_vector(phi, cone.dim, "functional")
     G = cone.generators
-    for j in range(G.shape[1]):
-        g = G[:, j]
-        if float(phi @ g) < -MEMBERSHIP_TOL * float(np.linalg.norm(g)):
-            return False
-    return True
+    return bool(np.all(phi @ G >= -MEMBERSHIP_TOL * np.linalg.norm(G, axis=0)))
 
 
 def decompose_pm(cone, phi):
@@ -295,24 +292,16 @@ class ConeMapResult(NamedTuple):
     witness: Optional[np.ndarray]
 
 
-def _sample_cone_element(cone, rng):
-    if cone.kind == ORTHANT:
-        return rng.exponential(size=cone.dim)
-    if cone.kind == PSD:
-        B = rng.standard_normal((cone.dim, cone.dim))
-        return B @ B.T
-    w = rng.exponential(size=cone.generators.shape[1])
-    return cone.generators @ w
-
-
 def map_preserves_cone(cone, map_):
     """Does the linear map send the cone into itself?
 
-    Orthant maps are decided exactly (all entries >= -MEMBERSHIP_TOL
-    * max(1, max |M_ij|)).  On the PSD cone, only congruence maps
-    P -> M'PM are decidable by form (pass a CongruenceMap); any other map
-    is falsified on MAP_SAMPLES cone elements drawn with seed MAP_SEED,
-    where True means "no counterexample found".
+    Orthant and polyhedral maps are decided exactly on the generators (the
+    unit vectors for the orthant): M keeps cone(G) iff M g lies in the cone
+    for every generator column g, and the witness is the first g that
+    fails.  On the PSD cone, congruence maps P -> M'PM are decided by form
+    (pass a CongruenceMap); any other map is falsified on MAP_SAMPLES cone
+    elements drawn with seed MAP_SEED, where True means "no counterexample
+    found".
     """
     if isinstance(map_, CongruenceMap):
         if cone.kind != PSD:
@@ -324,20 +313,16 @@ def map_preserves_cone(cone, map_):
         raise DimensionError(
             f"map must act on dimension {cone.ambient_dim}, got {M.shape}"
         )
-    if cone.kind == ORTHANT:
-        bad = np.argwhere(M < -MEMBERSHIP_TOL * max(1.0, float(np.abs(M).max())))
-        if bad.size:
-            j = int(bad[0][1])
-            witness = np.zeros(cone.dim)
-            witness[j] = 1.0
-            return ConeMapResult(preserves=False, witness=witness)
+    if cone.kind != PSD:
+        G = np.eye(cone.dim) if cone.kind == ORTHANT else cone.generators
+        for g in G.T:
+            if not cone_contains(cone, M @ g):
+                return ConeMapResult(preserves=False, witness=g.copy())
         return ConeMapResult(preserves=True, witness=None)
     rng = np.random.default_rng(MAP_SEED)
     for _ in range(MAP_SAMPLES):
-        x = _sample_cone_element(cone, rng)
-        coords = sym_to_vec(x) if cone.kind == PSD else x
-        image = M @ coords
-        element = vec_to_sym(image, cone.dim) if cone.kind == PSD else image
-        if not cone_contains(cone, element):
+        B = rng.standard_normal((cone.dim, cone.dim))
+        x = B @ B.T
+        if not cone_contains(cone, vec_to_sym(M @ sym_to_vec(x), cone.dim)):
             return ConeMapResult(preserves=False, witness=x)
     return ConeMapResult(preserves=True, witness=None)

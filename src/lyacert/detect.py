@@ -5,8 +5,8 @@ are cross-checked against each other; disagreement raises, never passes
 silently.  The L2 decision rests on one reduction: the implication
 "int ||C T(t)x||^2 < inf  =>  int ||T(t)x||^2 < inf" holds for all x iff
 the restriction of A to the unobservable subspace is stable (for x with an
-unstable observable component the premise already fails).  That reduction
-is guarded by quadrature cross-checks wherever randomness enters.
+unstable observable component the premise already fails).  Every test
+here is exact: none samples states or horizons.
 """
 
 from dataclasses import dataclass
@@ -29,8 +29,8 @@ from .linalg import (
     as_matrix,
     as_square,
     as_vector,
+    check_time,
     expm,
-    gramian_doubling,
     gramian_integral,
     schur_form,
     spectral_abscissa,
@@ -52,8 +52,6 @@ __all__ = [
     "observer_implies_detector_audit",
     "detectability_report",
     "duhamel_residual",
-    "gramian_value_sequence",
-    "classify_integral_values",
 ]
 
 
@@ -116,14 +114,26 @@ def unobservable_subspace(pair):
 
     Singular values up to max(shape) * machine epsilon * sigma_max count
     as zero.  The subspace is A-invariant; that is verified, not assumed.
+    A Krylov block C A^k that overflows, or an SVD that fails, raises
+    NumericalError.
     """
     A, C = pair.A, pair.C
     n = pair.n
     blocks = [C]
-    for _ in range(n - 1):
-        blocks.append(blocks[-1] @ A)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n - 1):
+            blocks.append(blocks[-1] @ A)
     O = np.vstack(blocks)
-    _, sig, Vt = np.linalg.svd(O)
+    finite = np.isfinite(O).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite)) // pair.m
+        raise NumericalError(
+            f"unobservable subspace: Krylov block C A^{k} is not finite"
+        )
+    try:
+        _, sig, Vt = np.linalg.svd(O)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"unobservable subspace: SVD failed: {exc}") from exc
     rank_tol = max(O.shape) * np.finfo(float).eps
     smax = sig[0] if sig.size else 0.0
     if smax == 0.0:
@@ -200,9 +210,7 @@ def observability_gramian(pair, t0):
     """W(t0) = int_0^{t0} e^{tA'} C'C e^{tA} dt (block-exponential, exact).
 
     x' W x is the output energy int_0^{t0} ||C T(t) x||^2 dt."""
-    if t0 <= 0:
-        raise ValueError("t0 must be positive")
-    return gramian_integral(pair.A, pair.Q, t0)
+    return gramian_integral(pair.A, pair.Q, check_time(t0, "t0", positive=True))
 
 
 def final_observability_constant(pair, t0):
@@ -224,48 +232,6 @@ def final_observability_constant(pair, t0):
         raise NumericalError(f"final observability: eigensolve failed: {exc}") from exc
 
 
-# ---------------------------------------------------------------------------
-# Quadrature classification (cross-check machinery)
-# ---------------------------------------------------------------------------
-
-def gramian_value_sequence(A, Q, xs):
-    """x' W(t) x for each x in xs at t = 1, 2, 4, ..., 256.
-
-    linalg.gramian_doubling adds PSD terms only, so it stays accurate at
-    horizons where one block exponential loses precision.  Divergent
-    sequences saturate to non-finite values and are truncated."""
-    xs = [np.asarray(x, dtype=float) for x in xs]
-    out = [[] for _ in xs]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t, W in gramian_doubling(A, Q, 1.0):
-            if t > 256.0:
-                break
-            for i, x in enumerate(xs):
-                out[i].append(float(x @ W @ x))
-    return out
-
-
-def classify_integral_values(vals):
-    """Finite-vs-divergent verdict for one horizon-doubled value sequence.
-
-    False on any non-finite value or a 1e14-fold blowup over the first
-    value; True when the LAST doubling changed the value by under 1%
-    (judged at the end of the sequence: a weakly excited unstable mode can
-    sit below the stable-mode energy for many doublings, so an early
-    near-flat step proves nothing); None when the horizon ran out without
-    either."""
-    first = None
-    for val in vals:
-        if not np.isfinite(val):
-            return False
-        first = first if first is not None else max(val, 1e-300)
-        if val > 1e14 * max(first, 1.0):
-            return False
-    if len(vals) >= 2 and vals[-1] <= vals[-2] * 1.01 + 1e-12 * max(first, 1.0):
-        return True
-    return None
-
-
 class PiDetectorResult(NamedTuple):
     is_detector: bool
     witness: Optional[np.ndarray]  # state x breaking the implication
@@ -276,9 +242,12 @@ def pi_detector_check(target):
 
     Accepts an ObservedPair or a tuple (A, Q) with PSD Q (factored through
     its reproducing-kernel coordinates, Q = C'C).  The decision is the
-    exact L2 reduction; 8 seeded random states and the witness are
-    additionally cross-checked by horizon-doubling quadrature.  With Q = I
-    the premise equals the conclusion and every generator passes."""
+    exact L2 reduction, cross-checked against the Hautus test; if the two
+    disagree, InternalInconsistencyError is raised.  When Q is no
+    pi-detector, the witness w is a unit state in the unobservable subspace
+    from the least-decaying eigenvector of A there: C T(t) w = 0 for all t,
+    while T(t) w decays no faster than e^{-DECAY_TOL t}.  With Q = I the
+    premise equals the conclusion and every generator passes."""
     if isinstance(target, ObservedPair):
         pair = target
     else:
@@ -288,6 +257,12 @@ def pi_detector_check(target):
         pair = ObservedPair(A=A, C=output_map(None, Q))
     basis = unobservable_subspace(pair)
     decision = _l2_decision(pair.A, basis)
+    hautus = hautus_detectable(pair)
+    if hautus != decision:
+        raise InternalInconsistencyError(
+            "detectability notions disagree",
+            diagnostics={"hautus": hautus, "l2": decision},
+        )
     witness = None
     if not decision:
         restricted = basis.T @ pair.A @ basis
@@ -297,22 +272,6 @@ def pi_detector_check(target):
         if np.linalg.norm(v) < 1e-12:
             v = (basis @ V[:, k]).imag
         witness = v / np.linalg.norm(v)
-
-    rng = np.random.default_rng(0)
-    checks = [rng.standard_normal(pair.n) for _ in range(8)]
-    if witness is not None:
-        checks.append(witness)
-    # W(t) does not depend on x: one doubling run per integrand serves all
-    premises = gramian_value_sequence(pair.A, pair.Q, checks)
-    conclusions = gramian_value_sequence(pair.A, np.eye(pair.n), checks)
-    for x, premise, conclusion in zip(checks, premises, conclusions):
-        if (decision and classify_integral_values(premise) is True
-                and classify_integral_values(conclusion) is False):
-            raise InternalInconsistencyError(
-                "quadrature found a counterexample to a positive pi-detector "
-                "verdict",
-                diagnostics={"x": x},
-            )
     return PiDetectorResult(is_detector=decision, witness=witness)
 
 

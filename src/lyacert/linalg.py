@@ -25,6 +25,7 @@ __all__ = [
     "as_square",
     "as_vector",
     "check_symmetric",
+    "check_time",
     "vector_norm",
     "dual_exponent",
     "expm",
@@ -147,6 +148,17 @@ def check_symmetric(a, name="matrix"):
     return np.where(m == m.T, m, 0.5 * m + 0.5 * m.T)
 
 
+def check_time(t, name="time", positive=False):
+    """float(t), which must be finite and >= 0 (> 0 when ``positive``)."""
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"{name} must be finite, got {t}")
+    if t < 0.0 or (positive and t == 0.0):
+        need = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be {need}, got {t}")
+    return t
+
+
 def vector_norm(x, p):
     """l_p norm, p in [1, inf]."""
     return float(np.linalg.norm(np.asarray(x, dtype=float).ravel(), ord=p))
@@ -172,9 +184,7 @@ def expm(A, t=1.0):
         Nonnegative time (t = 0 returns the identity exactly).
     """
     A = as_square(A, "A")
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError("time must be finite")
+    t = check_time(t)
     if t == 0.0:
         return np.eye(A.shape[0])
     return scipy.linalg.expm(t * A)
@@ -205,18 +215,7 @@ def integral_exp(A, t):
 
     Uses the top-right block of exp(t * [[A, I], [0, 0]]); no quadrature.
     """
-    A = as_square(A, "A")
-    t = float(t)
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    n = A.shape[0]
-    if t == 0.0:
-        return np.zeros((n, n))
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = A
-    M[:n, n:] = np.eye(n)
-    E = scipy.linalg.expm(t * M)
-    return E[:n, n:]
+    return _iterated_integral(A, t, 1)
 
 
 def cesaro_integral(A, t):
@@ -225,19 +224,24 @@ def cesaro_integral(A, t):
     Top-right block of exp(t * [[A, I, 0], [0, 0, I], [0, 0, 0]]); the
     caller divides by t for the Cesaro average.
     """
+    return _iterated_integral(A, t, 2)
+
+
+def _iterated_integral(A, t, k):
+    """k-fold time integral of e^{sA} over [0, t]: the top-right n x n block
+    of exp(t M), M = A in the first diagonal block and identities on the k
+    blocks above the diagonal (zero at t = 0)."""
     A = as_square(A, "A")
-    t = float(t)
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    t = check_time(t)
     n = A.shape[0]
     if t == 0.0:
         return np.zeros((n, n))
-    M = np.zeros((3 * n, 3 * n))
+    M = np.zeros(((k + 1) * n, (k + 1) * n))
     M[:n, :n] = A
-    M[:n, n : 2 * n] = np.eye(n)
-    M[n : 2 * n, 2 * n :] = np.eye(n)
+    for j in range(k):
+        M[j * n : (j + 1) * n, (j + 1) * n : (j + 2) * n] = np.eye(n)
     E = scipy.linalg.expm(t * M)
-    return E[:n, 2 * n :]
+    return E[:n, k * n :]
 
 
 def gramian_integral(A, Q, t):
@@ -255,9 +259,7 @@ def _van_loan(A, Q, t):
     Q = as_square(Q, "Q")
     if Q.shape != A.shape:
         raise DimensionError(f"Q must match A, got {Q.shape} vs {A.shape}")
-    t = float(t)
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    t = check_time(t)
     n = A.shape[0]
     M = np.zeros((2 * n, 2 * n))
     M[:n, :n] = -A.T

@@ -31,6 +31,7 @@ from .linalg import (
     as_square,
     as_vector,
     cesaro_integral,
+    check_time,
     expm,
     growth_fit,
     integral_exp,
@@ -297,8 +298,8 @@ def lemma_AS_suite(probe, t=1.0, h=1e-5):
     cesaro_identity  A int_0^t S = (S(t) - t I)
     cesaro_commute   A int_0^t S = int_0^t S A
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    t = check_time(t, "t", positive=True)
+    h = check_time(h, "h", positive=True)
     A = probe.A
     n = A.shape[0]
     T = expm(A, t)

@@ -8,7 +8,7 @@ away from the imaginary axis.
 import numpy as np
 import pytest
 
-from lyacert.linalg import spectral_abscissa
+from lyacert.linalg import gramian_doubling, spectral_abscissa
 
 
 def random_matrix(rng, n):
@@ -88,6 +88,17 @@ def slow_decay_problem(alpha, n=6, seed=4):
     return {"A": (S @ T @ S.T).tolist(), "C": rng.standard_normal((1, n)).tolist()}
 
 
+def heat_equation_problem(n=100):
+    """Problem dict of the 1-D heat equation on n interior grid points,
+    A = (n+1)^2 tridiag(1, -2, 1), observed at the first point; ||A|| is
+    about 4(n+1)^2, so the Krylov blocks C A^k overflow for n = 100."""
+    A = (n + 1) ** 2 * (np.diag(-2.0 * np.ones(n)) + np.diag(np.ones(n - 1), 1)
+                        + np.diag(np.ones(n - 1), -1))
+    C = np.zeros((1, n))
+    C[0, 0] = 1.0
+    return {"A": A.tolist(), "C": C.tolist()}
+
+
 def simpson_matrix_quadrature(f, a, b, nodes):
     """Composite Simpson rule for a matrix-valued function (odd node count)."""
     if nodes % 2 == 0:
@@ -99,6 +110,45 @@ def simpson_matrix_quadrature(f, a, b, nodes):
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     return (h / 3.0) * np.tensordot(weights, vals, axes=1)
+
+
+def gramian_value_sequence(A, Q, xs):
+    """x' W(t) x for each x in xs at t = 1, 2, 4, ..., 256: an independent
+    quadrature reference for the exact detectability decisions.
+
+    linalg.gramian_doubling adds PSD terms only, so it stays accurate at
+    horizons where one block exponential loses precision.  Divergent
+    sequences saturate to non-finite values and are truncated."""
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    out = [[] for _ in xs]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, W in gramian_doubling(A, Q, 1.0):
+            if t > 256.0:
+                break
+            for i, x in enumerate(xs):
+                out[i].append(float(x @ W @ x))
+    return out
+
+
+def classify_integral_values(vals):
+    """Finite-vs-divergent verdict for one horizon-doubled value sequence.
+
+    False on any non-finite value or a 1e14-fold blowup over the first
+    value; True when the LAST doubling changed the value by under 1%
+    (judged at the end of the sequence: a weakly excited unstable mode can
+    sit below the stable-mode energy for many doublings, so an early
+    near-flat step proves nothing); None when the horizon ran out without
+    either."""
+    first = None
+    for val in vals:
+        if not np.isfinite(val):
+            return False
+        first = first if first is not None else max(val, 1e-300)
+        if val > 1e14 * max(first, 1.0):
+            return False
+    if len(vals) >= 2 and vals[-1] <= vals[-2] * 1.01 + 1e-12 * max(first, 1.0):
+        return True
+    return None
 
 
 @pytest.fixture

@@ -23,10 +23,8 @@ from lyacert.certify import (
 from lyacert.cones import ConeSpec
 from lyacert.detect import (
     ObservedPair,
-    classify_integral_values,
     detectability_report,
     final_observability_constant,
-    gramian_value_sequence,
     observer_implies_detector_audit,
     unobservable_subspace,
 )
@@ -50,6 +48,8 @@ from lyacert.semigroup import (
 )
 
 from conftest import (
+    classify_integral_values,
+    gramian_value_sequence,
     random_matrix,
     random_psd,
     random_symmetric,

@@ -22,13 +22,14 @@ from lyacert.certify import (
 )
 from lyacert.exceptions import (
     InternalInconsistencyError,
+    NumericalError,
     ProblemFormatError,
     ResonantSpectrumError,
 )
 from lyacert.linalg import spectral_abscissa
 from lyacert.lyapunov import lyap_solve_direct
 
-from conftest import random_observed_pair, slow_decay_problem
+from conftest import heat_equation_problem, random_observed_pair, slow_decay_problem
 
 
 class TestProblemSpec:
@@ -221,6 +222,14 @@ class TestKrylovMisrank:
         S, R = np.linalg.qr(rng.standard_normal((n, n)))
         S = S * np.sign(np.diag(R))
         spec = ProblemSpec(A=S @ T @ S.T, C=rng.standard_normal((1, n)))
+        assert wonham_certify(spec).verdict == VERDICT_STABLE
+
+
+    @pytest.mark.xfail(strict=True, raises=NumericalError, reason=(
+        "ROADMAP item 1: the Krylov blocks C A^k of the heat equation "
+        "overflow at n = 100"))
+    def test_heat_equation_certifies(self):
+        spec = problem_from_dict(heat_equation_problem())
         assert wonham_certify(spec).verdict == VERDICT_STABLE
 
 

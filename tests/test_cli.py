@@ -6,7 +6,7 @@ import pytest
 
 from lyacert.cli import main
 
-from conftest import slow_decay_problem
+from conftest import heat_equation_problem, slow_decay_problem
 
 #: stable pair whose e^{t0 A} has condition number about e^{25}
 DECAYING_PAIR = {"A": [[-0.5, 1.0], [0.0, -3.0]], "C": [[1.0, 0.0]], "t0": 10}
@@ -101,6 +101,16 @@ class TestCertifyCommand:
         path.write_text(json.dumps({"A": [[-1.0]], "Q": [[q]]}))
         assert main(["certify", "--input", str(path)]) == 1
         assert capsys.readouterr().err == "error: Lyapunov solve: P is not finite\n"
+        assert [str(w.message) for w in recwarn
+                if issubclass(w.category, RuntimeWarning)] == []
+
+    def test_overflowing_krylov_block_exit_one(self, tmp_path, capsys, recwarn):
+        path = tmp_path / "heat.json"
+        path.write_text(json.dumps(heat_equation_problem()))
+        assert main(["certify", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: unobservable subspace: Krylov block")
         assert [str(w.message) for w in recwarn
                 if issubclass(w.category, RuntimeWarning)] == []
 

@@ -227,6 +227,31 @@ class TestMapPreservesCone:
         L = CongruenceMap(M=rng.standard_normal((3, 3))).matrix()
         assert map_preserves_cone(cone, L).preserves
 
+    def test_polyhedral_decided_on_generators(self):
+        cone = ConeSpec.polyhedral(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]))
+        result = map_preserves_cone(cone, np.eye(2))
+        assert result.preserves and result.witness is None
+        # (1, 0) stays in the cone, (1, 1) goes to (1, -1)
+        result = map_preserves_cone(cone, np.diag([1.0, -1.0]))
+        assert not result.preserves
+        np.testing.assert_array_equal(result.witness, [1.0, 1.0])
+
+    def test_orthant_is_the_polyhedral_cone_of_unit_vectors(self, rng):
+        orthant, unit = ConeSpec.orthant(3), ConeSpec.polyhedral(np.eye(3))
+        for _ in range(20):
+            M = rng.standard_normal((3, 3)) + 1.5
+            a, b = map_preserves_cone(orthant, M), map_preserves_cone(unit, M)
+            assert a.preserves == b.preserves
+            if not a.preserves:
+                np.testing.assert_array_equal(a.witness, b.witness)
+
+    def test_polyhedral_generator_swap_with_negative_entry(self):
+        # M = G P G^{-1} swaps the two generators of cone(G); M[1, 1] = -1
+        G = np.array([[1.0, 1.0], [0.0, 1.0]])
+        M = G @ np.array([[0.0, 1.0], [1.0, 0.0]]) @ np.linalg.inv(G)
+        assert M.min() < 0
+        assert map_preserves_cone(ConeSpec.polyhedral(G), M).preserves
+
     def test_congruence_on_wrong_cone_rejected(self):
         with pytest.raises(UnsupportedConeOperation):
             map_preserves_cone(ConeSpec.orthant(2), CongruenceMap(M=np.eye(2)))

@@ -4,11 +4,9 @@ import pytest
 from lyacert.detect import (
     DetectabilityReport,
     ObservedPair,
-    classify_integral_values,
     detectability_report,
     duhamel_residual,
     final_observability_constant,
-    gramian_value_sequence,
     hautus_detectable,
     l2_detectable,
     observability_gramian,
@@ -27,6 +25,8 @@ from lyacert.exceptions import (
 from lyacert.linalg import expm, spectral_abscissa
 
 from conftest import (
+    classify_integral_values,
+    gramian_value_sequence,
     random_observed_pair,
     random_psd,
     simpson_matrix_quadrature,
@@ -311,20 +311,36 @@ class TestPiDetector:
         pair = ObservedPair(A=np.diag([1.0, -2.0]), C=np.array([[1.0, 0.0]]))
         assert pi_detector_check(pair).is_detector
 
-    def test_one_doubling_run_per_integrand(self, monkeypatch):
+    @pytest.mark.parametrize("Q, verdict", [
+        (np.diag([1.0, 0.0]), True),
+        (np.diag([0.0, 1.0]), False),
+    ], ids=["detector", "blind"])
+    def test_hautus_disagreement_raises(self, monkeypatch, Q, verdict):
         import lyacert.detect
 
-        calls = []
-        doubling = lyacert.detect.gramian_doubling
+        target = (np.diag([1.0, -2.0]), Q)
+        assert pi_detector_check(target).is_detector is verdict
+        monkeypatch.setattr(lyacert.detect, "hautus_detectable",
+                            lambda pair: not verdict)
+        with pytest.raises(InternalInconsistencyError,
+                           match="detectability notions disagree"):
+            pi_detector_check(target)
 
-        def counted(*args):
-            calls.append(args)
-            return doubling(*args)
-
-        monkeypatch.setattr(lyacert.detect, "gramian_doubling", counted)
-        result = pi_detector_check((np.diag([1.0, -2.0]), np.diag([0.0, 1.0])))
-        assert not result.is_detector
-        assert len(calls) == 2
+    def test_witness_is_unobserved(self, rng):
+        # a hidden unstable rotation (complex eigenvector) and hidden real
+        # unstable modes: C T(t) w = 0 needs C w = 0 first of all
+        S, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        A = np.zeros((4, 4))
+        A[:2, :2] = [[0.1, 1.0], [-1.0, 0.1]]
+        A[2:, 2:] = stable_matrix(rng, 2)
+        C = np.hstack([np.zeros((1, 2)), rng.standard_normal((1, 2))])
+        pairs = [ObservedPair(A=S @ A @ S.T, C=C @ S.T)]
+        pairs += [undetectable_pair(rng, 6, 2, k_unstable=2) for _ in range(5)]
+        for pair in pairs:
+            result = pi_detector_check((pair.A, pair.Q))
+            assert not result.is_detector
+            assert np.linalg.norm(result.witness) == pytest.approx(1.0)
+            assert np.linalg.norm(pair.C @ result.witness) <= 1e-10
 
 
 class TestObserverAudit:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from lyacert.detect import ObservedPair, observability_gramian
 from lyacert.exceptions import DimensionError, NotStableError, NumericalError
 from lyacert.linalg import (
     GrowthBound,
@@ -26,8 +27,30 @@ from lyacert.linalg import (
     sym_to_vec,
     vec_to_sym,
 )
+from lyacert.semigroup import SemigroupProbe, lemma_AS_suite
 
 from conftest import random_matrix, simpson_matrix_quadrature
+
+#: public entries that validate their time argument through linalg.check_time
+TIME_ENTRIES = {
+    "expm": lambda t: expm(-np.eye(2), t),
+    "integral_exp": lambda t: integral_exp(-np.eye(2), t),
+    "cesaro_integral": lambda t: cesaro_integral(-np.eye(2), t),
+    "gramian_integral": lambda t: gramian_integral(-np.eye(2), np.eye(2), t),
+    "gramian_doubling": lambda t: next(gramian_doubling(-np.eye(2), np.eye(2), t)),
+    "observability_gramian": lambda t: observability_gramian(
+        ObservedPair(A=-np.eye(2), C=np.eye(2)), t),
+    "lemma_AS_suite": lambda t: lemma_AS_suite(SemigroupProbe(A=-np.eye(2)), t=t),
+    "lemma_AS_suite_step": lambda h: lemma_AS_suite(
+        SemigroupProbe(A=-np.eye(2)), t=1.0, h=h),
+}
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan, -1.0], ids=["inf", "nan", "-1"])
+@pytest.mark.parametrize("entry", sorted(TIME_ENTRIES))
+def test_time_must_be_finite_and_nonnegative(entry, t):
+    with pytest.raises(ValueError, match="must be (finite|nonnegative|positive)"):
+        TIME_ENTRIES[entry](t)
 
 
 class TestExpm:

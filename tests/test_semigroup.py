@@ -294,6 +294,27 @@ class TestSInfinity:
         probe = SemigroupProbe(A=np.diag([-1.0, -2.0]), cone=ConeSpec.orthant(2))
         np.testing.assert_allclose(s_infinity(probe), np.diag([1.0, 0.5]), atol=1e-12)
 
+    def test_polyhedral_cone(self):
+        # A = G B G^{-1} with B Metzler and stable: e^{tA} keeps cone(G), and
+        # S_inf = G (-B^{-1}) G^{-1} maps every generator into it
+        G = np.array([[1.0, 1.0], [0.0, 1.0]])
+        B = np.array([[-2.0, 1.0], [1.0, -2.0]])
+        A = G @ B @ np.linalg.inv(G)
+        probe = SemigroupProbe(A=A, cone=ConeSpec.polyhedral(G))
+        np.testing.assert_allclose(
+            s_infinity(probe), G @ -np.linalg.inv(B) @ np.linalg.inv(G), atol=1e-12
+        )
+
+    def test_polyhedral_cone_claim_refuted(self):
+        # -B^{-1} = [[1, -2], [0, 1]]: the second generator leaves the cone
+        G = np.array([[1.0, 1.0], [0.0, 1.0]])
+        B = np.array([[-1.0, -2.0], [0.0, -1.0]])
+        probe = SemigroupProbe(A=G @ B @ np.linalg.inv(G),
+                               cone=ConeSpec.polyhedral(G))
+        with pytest.raises(InternalInconsistencyError, match="preserve the cone") as exc:
+            s_infinity(probe)
+        np.testing.assert_array_equal(exc.value.diagnostics["witness"], [1.0, 1.0])
+
     def test_unstable_rejected(self):
         with pytest.raises(NotStableError):
             s_infinity(SemigroupProbe(A=np.eye(2)))
