@@ -177,6 +177,8 @@ def cmd_gallery(args):
 
 
 def cmd_audit_lemmas(args):
+    """Worst residual of each integrated-semigroup identity over ``--n``
+    random generators at t in {0.1, 1, 10}; exit 0 when all are <= 1e-8."""
     rng = np.random.default_rng(args.seed)
     worst = {}
     for _ in range(args.n):
@@ -187,8 +189,7 @@ def cmd_audit_lemmas(args):
             report = lemma_AS_suite(probe, t=t, h=1e-4)
             for key, val in report.residuals.items():
                 worst[key] = max(worst.get(key, 0.0), val)
-    block_keys = ["AS_eq_T_minus_I", "AS_commute", "cesaro_identity", "cesaro_commute"]
-    ok = all(worst[k] <= 1e-8 for k in block_keys) and worst["dS_dt"] <= 1e-5
+    ok = max(worst.values()) <= 1e-8
     print(canonical_json({"n": args.n, "seed": args.seed, "max_residuals": worst,
                           "pass": ok}))
     return 0 if ok else 1

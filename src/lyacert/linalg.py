@@ -29,7 +29,6 @@ __all__ = [
     "vector_norm",
     "dual_exponent",
     "expm",
-    "expm_grid",
     "integral_exp",
     "cesaro_integral",
     "gramian_integral",
@@ -188,26 +187,6 @@ def expm(A, t=1.0):
     if t == 0.0:
         return np.eye(A.shape[0])
     return scipy.linalg.expm(t * A)
-
-
-def expm_grid(A, horizon, steps):
-    """e^{tA} on the uniform grid t_k = k*horizon/steps, k = 0..steps.
-
-    One expm call; subsequent grid points filled in by repeated
-    multiplication with e^{dt*A}, which keeps a dense sweep cheap.
-    """
-    A = as_square(A, "A")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    n = A.shape[0]
-    dt = float(horizon) / steps
-    F = expm(A, dt)
-    out = np.empty((steps + 1, n, n))
-    out[0] = np.eye(n)
-    for k in range(1, steps + 1):
-        out[k] = out[k - 1] @ F
-    ts = np.linspace(0.0, float(horizon), steps + 1)
-    return ts, out
 
 
 def integral_exp(A, t):

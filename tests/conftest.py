@@ -8,7 +8,7 @@ away from the imaginary axis.
 import numpy as np
 import pytest
 
-from lyacert.linalg import gramian_doubling, spectral_abscissa
+from lyacert.linalg import expm, gramian_doubling, spectral_abscissa
 
 
 def random_matrix(rng, n):
@@ -97,6 +97,18 @@ def heat_equation_problem(n=100):
     C = np.zeros((1, n))
     C[0, 0] = 1.0
     return {"A": A.tolist(), "C": C.tolist()}
+
+
+def expm_norms_on_grid(A, horizon, steps):
+    """(t_k, ||e^{t_k A}||_2) on the uniform grid t_k = k*horizon/steps,
+    k = 0..steps: one expm, then repeated multiplication by e^{dt A}."""
+    F = expm(A, horizon / steps)
+    mats = np.empty((steps + 1,) + F.shape)
+    mats[0] = np.eye(F.shape[0])
+    for k in range(1, steps + 1):
+        mats[k] = mats[k - 1] @ F
+    ts = np.linspace(0.0, horizon, steps + 1)
+    return ts, np.linalg.norm(mats, ord=2, axis=(1, 2))
 
 
 def simpson_matrix_quadrature(f, a, b, nodes):

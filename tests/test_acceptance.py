@@ -130,7 +130,7 @@ def test_criterion_03_lemma_suite():
             assert report.residuals["AS_eq_T_minus_I"] <= 1e-8
             assert report.residuals["AS_commute"] <= 1e-8
             assert report.residuals["cesaro_identity"] <= 1e-8
-            assert report.residuals["dS_dt"] <= 1e-5
+            assert report.residuals["dS_dt"] <= 1e-8
 
 
 @criterion(4, "tensor duality and semigroup law")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from lyacert.exceptions import (
     ProblemFormatError,
     ResonantSpectrumError,
 )
-from lyacert.linalg import spectral_abscissa
+from lyacert.linalg import expm, spectral_abscissa
 from lyacert.lyapunov import lyap_solve_direct
 
 from conftest import heat_equation_problem, random_observed_pair, slow_decay_problem
@@ -308,3 +309,34 @@ class TestDecayCsv:
             t, state, paired = map(float, line.split(","))
             assert state == pytest.approx(np.exp(-t), abs=1e-10)
             assert paired == pytest.approx(state**2, abs=1e-10)
+
+    @pytest.mark.parametrize("rhs", ["C", "Q"])
+    def test_rows_match_pointwise_exponential(self, tmp_path, rhs):
+        rng = np.random.default_rng(6)
+        A = -np.eye(6) + np.triu(3.0 * rng.standard_normal((6, 6)), 1)
+        C = rng.standard_normal((2, 6))
+        Q = C.T @ C
+        spec = problem_from_dict({"A": A.tolist(),
+                                  rhs: (C if rhs == "C" else Q).tolist()})
+        out = tmp_path / "decay.csv"
+        emit_decay_csv(spec, horizon=3.0, steps=50, out=out)
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(rows[:, 0], np.linspace(0.0, 3.0, 51))
+        x = np.ones(6) / np.sqrt(6)
+        for t, state, paired in rows:
+            v = expm(A, t) @ x
+            assert state == pytest.approx(np.linalg.norm(v), rel=1e-10)
+            assert paired == pytest.approx(v @ Q @ v, rel=1e-10)
+
+    def test_memory_does_not_grow_with_steps(self, tmp_path):
+        # a stored (steps + 1) x n x n grid of e^{tA} would take 244 MiB
+        n = 40
+        spec = problem_from_dict({"A": (-np.eye(n)).tolist(),
+                                  "C": np.eye(1, n).tolist()})
+        tracemalloc.start()
+        try:
+            emit_decay_csv(spec, horizon=5.0, steps=20000, out=tmp_path / "d.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20

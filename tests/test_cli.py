@@ -390,6 +390,7 @@ class TestGalleryAndAudit:
         out = json.loads(capsys.readouterr().out)
         assert out["pass"] is True
         assert out["max_residuals"]["AS_eq_T_minus_I"] <= 1e-8
+        assert max(out["max_residuals"].values()) <= 1e-8
 
 
 class TestNumericFlags:

@@ -14,7 +14,6 @@ from lyacert.linalg import (
     SpaceNorm,
     cesaro_integral,
     expm,
-    expm_grid,
     gramian_doubling,
     gramian_integral,
     growth_fit,
@@ -29,7 +28,7 @@ from lyacert.linalg import (
 )
 from lyacert.semigroup import SemigroupProbe, lemma_AS_suite
 
-from conftest import random_matrix, simpson_matrix_quadrature
+from conftest import expm_norms_on_grid, random_matrix, simpson_matrix_quadrature
 
 #: public entries that validate their time argument through linalg.check_time
 TIME_ENTRIES = {
@@ -81,12 +80,6 @@ class TestExpm:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
             expm(np.ones((2, 3)), 1.0)
-
-    def test_expm_grid_matches_pointwise(self, rng):
-        A = random_matrix(rng, 4)
-        ts, mats = expm_grid(A, 2.0, 10)
-        for t, E in zip(ts, mats):
-            np.testing.assert_allclose(E, expm(A, t), atol=1e-12)
 
 
 class TestIntegralExp:
@@ -264,8 +257,7 @@ class TestSchurForm:
 
 def envelope_holds(A, gb, horizon, steps):
     """||e^{tA}||_2 <= M e^{-eps t} (1 + 1e-9) on a uniform grid of [0, horizon]."""
-    ts, mats = expm_grid(A, horizon, steps)
-    norms = np.linalg.norm(mats, ord=2, axis=(1, 2))
+    ts, norms = expm_norms_on_grid(A, horizon, steps)
     return bool(np.all(norms <= gb.M * np.exp(-gb.eps * ts) * (1 + 1e-9)))
 
 

@@ -452,6 +452,13 @@ class TestIntegralSolver:
             "after 11 doublings"
         )
 
+    @pytest.mark.xfail(strict=True, raises=DivergenceError, reason=(
+        "ROADMAP item 12: gramian_doubling stops when e^{tA} overflows, "
+        "although Q does not see the unstable mode and the integral is finite"))
+    def test_integral_blind_to_the_unstable_mode(self):
+        P = lyap_solve_integral(np.diag([1.0, -1e-4]), np.diag([0.0, 1.0]))
+        np.testing.assert_allclose(P, np.diag([0.0, 5000.0]), rtol=1e-9, atol=0.0)
+
     def test_rotation_diverges(self):
         with pytest.raises(DivergenceError):
             lyap_solve_integral(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2))

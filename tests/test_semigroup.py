@@ -8,7 +8,7 @@ from lyacert.exceptions import (
     InternalInconsistencyError,
     NotStableError,
 )
-from lyacert.linalg import ABSCISSA_TOL, expm, expm_grid, integral_exp
+from lyacert.linalg import ABSCISSA_TOL, expm, integral_exp
 from lyacert.lyapunov import LyapunovOperator
 from lyacert.semigroup import (
     SemigroupProbe,
@@ -22,7 +22,7 @@ from lyacert.semigroup import (
     weak_detector_check,
 )
 
-from conftest import random_matrix, stable_matrix, stable_metzler
+from conftest import expm_norms_on_grid, random_matrix, stable_matrix, stable_metzler
 
 
 class TestProbe:
@@ -136,9 +136,8 @@ class TestWeakL1:
             # the envelope M e^{-eps t} bounds ||e^{tA}|| on 40001 points of
             # [0, 30/eps]; the psd lift is a 3x3 Jordan block at 2 alpha
             gb = report.growth
-            ts, mats = expm_grid(probe.A, 30.0 / gb.eps, 40000)
-            sup = float((np.linalg.norm(mats, ord=2, axis=(1, 2))
-                         * np.exp(gb.eps * ts)).max())
+            ts, norms = expm_norms_on_grid(probe.A, 30.0 / gb.eps, 40000)
+            sup = float((norms * np.exp(gb.eps * ts)).max())
             assert gb.M >= sup
 
     def test_barely_stable_scalar_consistent(self):
@@ -342,7 +341,7 @@ class TestLemmaSuite:
         report = lemma_AS_suite(SemigroupProbe(A=np.zeros((3, 3))), t=1.0)
         block = ["AS_eq_T_minus_I", "AS_commute", "cesaro_identity", "cesaro_commute"]
         assert report.max_residual(block) == 0.0
-        assert report.residuals["dS_dt"] <= 1e-11  # finite-difference rounding
+        assert report.residuals["dS_dt"] <= 1e-11  # rounding of (t + h) - t
 
     def test_random_block_identities(self, rng):
         for _ in range(5):
@@ -352,6 +351,16 @@ class TestLemmaSuite:
                      "cesaro_commute"]
             assert report.max_residual(block) <= 1e-9
             assert report.residuals["dS_dt"] <= 1e-6
+
+    # t = 0 is refused, see test_nonpositive_time_rejected
+    @pytest.mark.parametrize("h", [1e-5, 1e-2, 2.0])
+    @pytest.mark.parametrize("t", [1e-6, 1.0])
+    def test_increment_identity_is_exact(self, t, h):
+        rng = np.random.default_rng(23)
+        probes = [SemigroupProbe(A=-np.eye(2))]
+        probes += [SemigroupProbe(A=stable_matrix(rng, 4)) for _ in range(5)]
+        for probe in probes:
+            assert lemma_AS_suite(probe, t=t, h=h).residuals["dS_dt"] <= 1e-12
 
     def test_nonpositive_time_rejected(self):
         with pytest.raises(ValueError):
