@@ -16,6 +16,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -24,6 +25,7 @@ from . import __version__
 from .detect import ObservedPair, detectability_report
 from .exceptions import (
     InternalInconsistencyError,
+    NumericalError,
     ProblemFormatError,
     ResonantSpectrumError,
 )
@@ -145,6 +147,12 @@ class ProblemSpec:
     @property
     def n(self):
         return self.A.shape[0]
+
+    @cached_property
+    def pair(self):
+        """The observed pair (A, C), C = output_map(C, Q); built once and
+        shared by every route that reads the problem."""
+        return ObservedPair(A=self.A, C=output_map(self.C, self.Q))
 
     def to_dict(self):
         d = {
@@ -281,9 +289,8 @@ def wonham_certify(spec):
     inconsistent with that abscissa raises.
     """
     tols = spec.tolerances
-    A = spec.A
-    C = output_map(spec.C, spec.Q)
-    pair = ObservedPair(A=A, C=C)
+    pair = spec.pair
+    A, Q = pair.A, pair.Q
     report = detectability_report(pair, t0=spec.t0)
     form = pair.schur
     abscissa = form.abscissa
@@ -309,7 +316,6 @@ def wonham_certify(spec):
     if not report.l2:
         return finish(VERDICT_INCONCLUSIVE, reason="detector hypothesis fails")
 
-    Q = C.T @ C
     try:
         P = lyap_solve_direct(form, Q, residual_rtol=tols["residual"])
     except ResonantSpectrumError as exc:
@@ -420,24 +426,25 @@ def emit_decay_csv(spec, horizon, steps, out):
     at t_k = k*horizon/steps for k = 0..steps.
 
     One exponential F = e^{(horizon/steps) A} and the recurrence v <- F v
-    give the rows, so memory does not grow with ``steps``.
+    give the rows, so memory does not grow with ``steps``.  The first t at
+    which either observable is not finite raises NumericalError; the rows
+    before it stay written.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    C = output_map(spec.C, spec.Q)
-    Q = C.T @ C
-    F = expm(spec.A, float(horizon) / steps)
+    pair = spec.pair
     v = np.ones(spec.n) / np.sqrt(spec.n)
-    with open(out, "w", newline="") as fh:
+    with open(out, "w", newline="") as fh, \
+            np.errstate(over="ignore", invalid="ignore"):
+        F = expm(pair.A, float(horizon) / steps)
         writer = csv.writer(fh)
         writer.writerow(["t", "state_norm", "paired_QTt"])
         for t in np.linspace(0.0, float(horizon), steps + 1):
-            writer.writerow(
-                [
-                    f"{t:.17g}",
-                    f"{float(np.linalg.norm(v)):.17g}",
-                    f"{float(v @ Q @ v):.17g}",
-                ]
-            )
+            norm, paired = float(np.linalg.norm(v)), float(v @ pair.Q @ v)
+            if not (math.isfinite(norm) and math.isfinite(paired)):
+                raise NumericalError(
+                    f"decay probe: state or Q-form is not finite at t = {t:.17g}"
+                )
+            writer.writerow([f"{t:.17g}", f"{norm:.17g}", f"{paired:.17g}"])
             v = F @ v
     return out

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes for `certify`: 0 certified stable, 2 unstable, 3 inconclusive,
-1 error.  All other commands exit 0 on success, 1 on error.
+1 error.  All other commands exit 0 on success, 1 on error.  A usage error
+(a bad or missing flag) is an error too: it exits 1, never argparse's 2.
 """
 
 import argparse
@@ -17,12 +18,11 @@ from .certify import (
     VERDICT_UNSTABLE,
     canonical_json,
     emit_decay_csv,
-    output_map,
     parse_problem,
     run_gallery,
     wonham_certify,
 )
-from .detect import ObservedPair, detectability_report, final_observability_constant
+from .detect import detectability_report, final_observability_constant
 from .exceptions import LyacertError, ProblemFormatError
 from .lyapunov import lyap_apply, lyap_solve_direct, lyap_solve_integral
 from .linalg import NormInterval, induced_norm, nuclear_norm
@@ -32,8 +32,7 @@ VERDICT_EXIT = {VERDICT_STABLE: 0, VERDICT_UNSTABLE: 2, VERDICT_INCONCLUSIVE: 3}
 
 _POSITIVE = ("must be a finite number above 0", lambda v: math.isfinite(v) and v > 0)
 _COUNT = ("must be at least 1", lambda v: v >= 1)
-#: range of each numeric flag, checked in main: argparse type errors would
-#: exit 2, which certify reserves for Unstable
+#: range of each numeric flag, checked in main
 FLAG_RANGES = {
     "t0": _POSITIVE,
     "horizon": _POSITIVE,
@@ -44,6 +43,16 @@ FLAG_RANGES = {
     "workers": _COUNT,
     "seed": ("must be at least 0", lambda v: v >= 0),
 }
+
+
+class UsageError(Exception):
+    """A command line that cannot run; main prints it and returns 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse would print the usage and exit 2, the code of Unstable
+    def error(self, message):
+        raise UsageError(message.removeprefix("argument "))
 
 
 def _load_problem(path):
@@ -65,10 +74,10 @@ def _emit(payload, out):
 
 
 def cmd_certify(args):
-    # not an argparse group: its errors exit 2, the code of Unstable
     if bool(args.input) == bool(args.batch):
-        print("error: give exactly one of --input and --batch", file=sys.stderr)
-        return 1
+        raise UsageError("give exactly one of --input and --batch")
+    if args.workers is not None and not args.batch:
+        raise UsageError("--workers: needs --batch")
     if args.batch:
         return _certify_batch(args.batch, args.out, args.workers)
     spec = _load_problem(args.input)
@@ -95,7 +104,6 @@ def _certify_batch(in_dir, out_dir, workers):
     import glob
 
     out_dir = out_dir or in_dir
-    os.makedirs(out_dir, exist_ok=True)
     jobs = []
     for in_path in sorted(glob.glob(os.path.join(in_dir, "*.json"))):
         name = os.path.basename(in_path)
@@ -107,6 +115,14 @@ def _certify_batch(in_dir, out_dir, workers):
     if not jobs:
         print("error: no problem files found", file=sys.stderr)
         return 1
+    writers = {}
+    for in_path, out_path in jobs:
+        if out_path in writers:
+            print(f"error: {writers[out_path]} and {in_path} both write "
+                  f"{out_path}", file=sys.stderr)
+            return 1
+        writers[out_path] = in_path
+    os.makedirs(out_dir, exist_ok=True)
     failed = 0
     # the fork start method launches every worker up front
     workers = min(workers or os.cpu_count() or 1, len(jobs))
@@ -122,10 +138,11 @@ def _certify_batch(in_dir, out_dir, workers):
 
 def cmd_solve(args):
     spec = _load_problem(args.input)
-    A, C = spec.A, output_map(spec.C, spec.Q)
-    Q = C.T @ C
-    solver = lyap_solve_direct if args.method == "direct" else lyap_solve_integral
-    P = solver(A, Q)
+    A, Q = spec.pair.A, spec.pair.Q
+    if args.method == "direct":
+        P = lyap_solve_direct(A, Q, residual_rtol=spec.tolerances["residual"])
+    else:
+        P = lyap_solve_integral(A, Q)
     residual = float(np.linalg.norm(lyap_apply(A, P) + Q))
     _emit({"method": args.method, "P": P.tolist(), "residual": residual}, args.out)
     return 0
@@ -133,16 +150,14 @@ def cmd_solve(args):
 
 def cmd_detect(args):
     spec = _load_problem(args.input)
-    pair = ObservedPair(A=spec.A, C=output_map(spec.C, spec.Q))
-    report = detectability_report(pair, t0=spec.t0)
+    report = detectability_report(spec.pair, t0=spec.t0)
     _emit(report.to_dict(), args.out)
     return 0
 
 
 def cmd_observe(args):
     spec = _load_problem(args.input)
-    pair = ObservedPair(A=spec.A, C=output_map(spec.C, spec.Q))
-    eps = final_observability_constant(pair, args.t0)
+    eps = final_observability_constant(spec.pair, args.t0)
     _emit(
         {"t0": args.t0, "eps_star": eps, "finally_observable": eps > 1e-10},
         args.out,
@@ -196,7 +211,7 @@ def cmd_audit_lemmas(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lyacert",
         description="Lyapunov stability certification for matrix semigroups",
     )
@@ -254,18 +269,14 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
-    for flag, (need, ok) in FLAG_RANGES.items():
-        value = getattr(args, flag, None)
-        if value is not None and not ok(value):
-            print(f"error: --{flag}: {need}, got {value}", file=sys.stderr)
-            return 1
     try:
+        args = parser.parse_args(argv)
+        for flag, (need, ok) in FLAG_RANGES.items():
+            value = getattr(args, flag, None)
+            if value is not None and not ok(value):
+                parser.error(f"--{flag}: {need}, got {value}")
         return args.func(args)
-    except LyacertError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (UsageError, LyacertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -83,7 +83,7 @@ class ObservedPair:
     def m(self):
         return self.C.shape[0]
 
-    @property
+    @cached_property
     def Q(self):
         """Q = C'C, PSD by construction."""
         return self.C.T @ self.C
@@ -162,6 +162,16 @@ def l2_detectable(pair):
     return _l2_decision(pair.A, unobservable_subspace(pair))
 
 
+def _check_notions_agree(hautus, l2):
+    """Hautus (= exponential) and L2 detectability coincide at finite
+    dimension; a disagreement raises InternalInconsistencyError."""
+    if hautus != l2:
+        raise InternalInconsistencyError(
+            "detectability notions disagree",
+            diagnostics={"hautus": hautus, "exponential": hautus, "l2": l2},
+        )
+
+
 def _l2_decision(A, basis):
     """L2 verdict from the orthonormal ``basis`` of the unobservable
     subspace: A restricted to it has spectral abscissa < -DECAY_TOL."""
@@ -221,7 +231,7 @@ def final_observability_constant(pair, t0):
     [0, t0]; eps* is its smallest eigenvalue.  The pair is continuously
     finally observable iff the returned value is positive."""
     with np.errstate(over="ignore", invalid="ignore"):
-        W = observability_gramian(ObservedPair(A=-pair.A, C=pair.C), t0)
+        W = gramian_integral(-pair.A, pair.Q, check_time(t0, "t0", positive=True))
     if not np.all(np.isfinite(W)):
         raise NumericalError(
             f"final observability: Gramian of (C, -A) overflows at t0 = {t0:g}"
@@ -257,12 +267,7 @@ def pi_detector_check(target):
         pair = ObservedPair(A=A, C=output_map(None, Q))
     basis = unobservable_subspace(pair)
     decision = _l2_decision(pair.A, basis)
-    hautus = hautus_detectable(pair)
-    if hautus != decision:
-        raise InternalInconsistencyError(
-            "detectability notions disagree",
-            diagnostics={"hautus": hautus, "l2": decision},
-        )
+    _check_notions_agree(hautus_detectable(pair), decision)
     witness = None
     if not decision:
         restricted = basis.T @ pair.A @ basis
@@ -366,15 +371,7 @@ class DetectabilityReport:
     eps_star: Optional[dict] = None
 
     def __post_init__(self):
-        if self.hautus != self.l2:
-            raise InternalInconsistencyError(
-                "detectability notions disagree",
-                diagnostics={
-                    "hautus": self.hautus,
-                    "exponential": self.exponential,
-                    "l2": self.l2,
-                },
-            )
+        _check_notions_agree(self.hautus, self.l2)
 
     @property
     def hautus(self):

@@ -257,6 +257,22 @@ class TestOneSchurForm:
         np.testing.assert_allclose(second, spec.A - F @ C, atol=1e-12)
         assert factorizations["eigvals"] == []
 
+    def test_one_pair_per_problem(self, monkeypatch, tmp_path):
+        # the certificate, the decay probe and the eps* Gramian share one
+        # factor of Q and one C'C
+        calls = []
+        factor = lyacert.certify.rkhs_factor
+        monkeypatch.setattr(lyacert.certify, "rkhs_factor",
+                            lambda Q: calls.append(Q) or factor(Q))
+        spec = problem_from_dict(
+            {"A": [[-1.0, 2.0], [0.0, -3.0]], "Q": [[2.0, 1.0], [1.0, 1.0]],
+             "t0": 1.0})
+        assert wonham_certify(spec).verdict == VERDICT_STABLE
+        emit_decay_csv(spec, horizon=1.0, steps=2, out=str(tmp_path / "d.csv"))
+        assert len(calls) == 1
+        assert spec.pair is spec.pair and spec.pair.Q is spec.pair.Q
+        np.testing.assert_allclose(spec.pair.Q, spec.Q, atol=1e-14)
+
 
 class TestGallery:
     def test_fixture_corpus(self, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -220,6 +221,21 @@ class TestSolveCommand:
         assert np.linalg.norm(P_d - P_i) <= 1e-6 * np.linalg.norm(P_d)
         assert direct["residual"] <= 1e-10
 
+    def test_direct_honours_residual_tolerance(self, tmp_path, capsys):
+        # the tolerance certify holds the solve to; no solve reaches 1e-30
+        path = tmp_path / "tight.json"
+        path.write_text(json.dumps({
+            "A": [[0.0, 1.0], [-2.0, -3.0]],
+            "C": [[1.0, 0.0]],
+            "tolerances": {"residual": 1e-30},
+        }))
+        assert main(["certify", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == "error: Lyapunov solve residual too large\n"
+        assert main(["solve", "--input", str(path), "--method", "direct"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: Lyapunov solve residual too large\n"
+        assert captured.out == ""
+
 
 class TestDetectObserveCommands:
     def test_detect(self, unstable_file, capsys):
@@ -260,6 +276,21 @@ class TestProbeAndNorms:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "t,state_norm,paired_QTt"
         assert len(lines) == 7
+
+    def test_probe_stops_on_overflow(self, tmp_path, capsys):
+        # e^{tA} overflows at t = 500; the rows before it stay written
+        path = tmp_path / "unstable.json"
+        path.write_text(json.dumps({"A": [[1, 0], [0, -1]], "C": [[1, 1]]}))
+        csv_path = tmp_path / "probe.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["probe", "--input", str(path), "--horizon", "1000",
+                         "--steps", "4", "--csv", str(csv_path)]) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert capsys.readouterr().err == (
+            "error: decay probe: state or Q-form is not finite at t = 500\n")
+        lines = csv_path.read_text().splitlines()
+        assert [line.split(",")[0] for line in lines] == ["t", "0", "250"]
 
     def test_norms_exact_p2(self, problem_file, capsys):
         assert main(["norms", "--input", problem_file, "--p", "2"]) == 0
@@ -358,6 +389,20 @@ class TestBatch:
         assert main(["certify", "--batch", str(tmp_path), "--workers", "4"]) == 0
         assert started == [2]
 
+    def test_batch_refuses_colliding_outputs(self, tmp_path, capsys):
+        # both inputs would write a.certificate.json, the second over the first
+        (tmp_path / "a.json").write_text(json.dumps({"A": [[-1.0]], "C": [[1.0]]}))
+        (tmp_path / "a.problem.json").write_text(
+            json.dumps({"A": [[1.0]], "C": [[1.0]]}))
+        out_dir = tmp_path / "certs"
+        assert main(["certify", "--batch", str(tmp_path), "--out", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {tmp_path / 'a.json'} and {tmp_path / 'a.problem.json'} "
+            f"both write {out_dir / 'a.certificate.json'}\n")
+        assert captured.out == ""
+        assert not out_dir.exists()
+
     def test_batch_empty_dir_errors(self, tmp_path, capsys):
         assert main(["certify", "--batch", str(tmp_path)]) == 1
 
@@ -391,6 +436,28 @@ class TestGalleryAndAudit:
         assert out["pass"] is True
         assert out["max_residuals"]["AS_eq_T_minus_I"] <= 1e-8
         assert max(out["max_residuals"].values()) <= 1e-8
+
+
+class TestUsageErrors:
+    """argparse exits 2 on a usage error, the code certify gives Unstable;
+    lyacert exits 1 with one error line instead."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["certify", "--input", "P", "--workers", "abc"],
+         "--workers: invalid int value: 'abc'"),
+        (["certify", "--input", "P", "--bogus"], "unrecognized arguments: --bogus"),
+        (["certify", "--input", "P", "--workers"], "--workers: expected one argument"),
+        (["certify", "--input", "P", "--workers", "2"], "--workers: needs --batch"),
+        (["certify", "--input"], "--input: expected one argument"),
+        (["solve"], "the following arguments are required: --input"),
+    ])
+    def test_exit_one_with_one_error_line(self, unstable_file, capsys, argv,
+                                          message):
+        argv = [unstable_file if arg == "P" else arg for arg in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
 
 class TestNumericFlags:

@@ -126,6 +126,36 @@ class TestOrderUnits:
         cone = ConeSpec.polyhedral(np.array([[1.0], [1.0]]))
         assert not is_order_unit(cone, [1.0, 1.0])
 
+    def test_polyhedral_extreme_rays_are_not_units(self):
+        cone = ConeSpec.polyhedral(np.array([[3.0, 1.0], [1.0, 3.0]]))
+        assert not is_order_unit(cone, [3.0, 1.0])
+        assert not is_order_unit(cone, [1.0, 3.0])
+        assert is_order_unit(cone, [4.0, 4.0])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_polyhedral_orthant_faces(self, n):
+        cone = ConeSpec.polyhedral(np.eye(n))
+        e = np.arange(1.0, n + 1.0)
+        assert is_order_unit(cone, e)
+        for i in range(n):
+            face = e.copy()
+            face[i] = 0.0
+            assert not is_order_unit(cone, face)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_polyhedral_random_cone(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        k = int(rng.integers(n, 2 * n + 1))
+        G = rng.uniform(0.1, 1.0, size=(n, k))
+        cone = ConeSpec.polyhedral(G)
+        assert is_order_unit(cone, G @ rng.uniform(0.5, 1.5, size=k))
+        # on the section {sum(x) = 1} the generators are points; the one
+        # maximising a generic functional there is a vertex, so an extreme ray
+        points = G / G.sum(axis=0)
+        j = int(np.argmax(rng.standard_normal(n) @ points))
+        assert not is_order_unit(cone, G[:, j])
+
 
 class TestOrderUnitNorm:
     def test_psd_spectral(self):
@@ -145,6 +175,14 @@ class TestOrderUnitNorm:
     def test_invalid_unit_rejected(self):
         with pytest.raises(InvalidOrderUnitError):
             order_unit_norm(ConeSpec.orthant(2), [1.0, 0.0], [1.0, 1.0])
+
+    def test_polyhedral_extreme_ray_rejected(self):
+        cone = ConeSpec.polyhedral(np.array([[3.0, 1.0], [1.0, 3.0]]))
+        with pytest.raises(InvalidOrderUnitError):
+            order_unit_norm(cone, [3.0, 1.0], [0.0, 1.0])
+        assert order_unit_norm(cone, [4.0, 4.0], [0.0, 1.0]) == pytest.approx(
+            0.375, rel=1e-9
+        )
 
     def test_polyhedral_bisection_matches_orthant(self):
         # the orthant is the polyhedral cone on coordinate generators
