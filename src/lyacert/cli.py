@@ -174,14 +174,8 @@ def cmd_probe(args):
 def cmd_norms(args):
     spec = _load_problem(args.input)
     ind = induced_norm(spec.A, args.p, args.p)
-    if isinstance(ind, NormInterval):
-        induced = {"lower": ind.lower, "upper": ind.upper}
-    else:
-        induced = ind
-    _emit(
-        {"p": args.p, "induced": induced, "nuclear": nuclear_norm(spec.A)},
-        args.out,
-    )
+    induced = ind._asdict() if isinstance(ind, NormInterval) else ind
+    _emit({"p": args.p, "induced": induced, "nuclear": nuclear_norm(spec.A)}, args.out)
     return 0
 
 

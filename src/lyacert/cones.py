@@ -14,6 +14,7 @@ import numpy as np
 
 from .exceptions import (
     DimensionError,
+    InternalInconsistencyError,
     InvalidOrderUnitError,
     UnsupportedConeOperation,
 )
@@ -24,6 +25,7 @@ from .linalg import (
     check_symmetric,
     spectrum_is_psd,
     sym_dim,
+    sym_index,
     sym_to_vec,
     vec_to_sym,
 )
@@ -48,10 +50,6 @@ POLYHEDRAL = "polyhedral"
 MEMBERSHIP_TOL = 1e-10
 #: margin by which an order unit must lie inside the cone
 ORDER_UNIT_TOL = 1e-9
-#: PSD matrices sampled, and their seed, when map_preserves_cone tests a
-#: plain matrix on the PSD cone (the one case it cannot decide exactly)
-MAP_SAMPLES = 32
-MAP_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -203,7 +201,8 @@ def order_unit_norm(cone, e, x):
 
     Orthant: max_i |x_i| / e_i.  PSD with unit e = I: largest absolute
     eigenvalue of x.  General PSD e: largest absolute eigenvalue of
-    e^{-1/2} x e^{-1/2}.  Polyhedral: bisection on cone membership.
+    e^{-1/2} x e^{-1/2}.  Polyhedral: bisection on cone membership, after
+    doubling from 1 up to ||x||_1 / r, which fits by is_order_unit's check.
     Raises InvalidOrderUnitError unless is_order_unit(cone, e), so a
     polyhedral e on the cone's boundary is refused.
     """
@@ -224,11 +223,14 @@ def order_unit_norm(cone, e, x):
     def fits(lam):
         return cone_contains(cone, lam * e - x) and cone_contains(cone, lam * e + x)
 
-    hi = 1.0
+    # is_order_unit put the l_1 ball of radius r around e in the cone
+    r = ORDER_UNIT_TOL * max(1.0, float(np.linalg.norm(e)))
+    hi, bound = 1.0, float(np.abs(x).sum()) / r  # every lambda >= bound fits
     while not fits(hi):
-        hi *= 2.0
-        if hi > 1e18:
-            raise InvalidOrderUnitError("element not dominated by any multiple of e")
+        if hi >= bound:
+            raise InternalInconsistencyError(
+                f"order unit e does not dominate x at lambda = {hi:.6e}")
+        hi = min(2.0 * hi, bound)
     lo = 0.0
     while hi - lo > 1e-12 * max(hi, 1.0):
         mid = 0.5 * (lo + hi)
@@ -277,9 +279,10 @@ def map_preserves_cone(cone, map_):
     unit vectors for the orthant): M keeps cone(G) iff M g lies in the cone
     for every generator column g, and the witness is the first g that
     fails.  On the PSD cone, congruence maps P -> M'PM are decided by form
-    (pass a CongruenceMap); any other map is falsified on MAP_SAMPLES cone
-    elements drawn with seed MAP_SEED, where True means "no counterexample
-    found".
+    (pass a CongruenceMap); any other map is tested on the n^2 rays vv',
+    v in {e_i, e_i +- e_j}: an image Y passes when Y + MEMBERSHIP_TOL *
+    max(1, ||Y||_F) I has a Cholesky factor, the witness is the first ray
+    that fails, and True means "no ray fails" (necessary; no sampling).
     """
     if isinstance(map_, CongruenceMap):
         if cone.kind != PSD:
@@ -297,10 +300,20 @@ def map_preserves_cone(cone, map_):
             if not cone_contains(cone, M @ g):
                 return ConeMapResult(preserves=False, witness=g.copy())
         return ConeMapResult(preserves=True, witness=None)
-    rng = np.random.default_rng(MAP_SEED)
-    for _ in range(MAP_SAMPLES):
-        B = rng.standard_normal((cone.dim, cone.dim))
-        x = B @ B.T
-        if not cone_contains(cone, vec_to_sym(M @ sym_to_vec(x), cone.dim)):
-            return ConeMapResult(preserves=False, witness=x)
+    from scipy.linalg.lapack import dpotrf  # lazy, like scipy.optimize
+
+    n, E = cone.dim, np.eye(cone.dim)
+    i, j = np.triu_indices(n, 1)
+    V = np.vstack([E, E[i] + E[j], E[i] - E[j]])
+    # Sym(n) coordinates of the images: M e_p for the ray e_p e_p', and
+    # M e_p + M e_q +- sqrt(2) M e_pq for (e_p +- e_q)(e_p +- e_q)'
+    cols = M.T.copy()
+    pair, off = cols[i] + cols[j], np.sqrt(2.0) * cols[n:]
+    images = np.vstack([cols[:n], pair + off, pair - off])
+    slack = MEMBERSHIP_TOL * np.maximum(1.0, np.linalg.norm(images, axis=1))
+    images[:, :n] += slack[:, None]
+    images[:, n:] *= 1.0 / np.sqrt(2.0)
+    for v, Y in zip(V, images[:, sym_index(n)]):  # Y.T: Fortran order, no copy
+        if dpotrf(Y.T, lower=1, clean=0, overwrite_a=1)[1]:
+            return ConeMapResult(preserves=False, witness=np.outer(v, v))
     return ConeMapResult(preserves=True, witness=None)

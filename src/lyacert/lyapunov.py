@@ -30,6 +30,8 @@ from .exceptions import (
 from .linalg import (
     NormInterval,
     SchurForm,
+    _duality_vec,
+    _induced_norm_upper,
     as_matrix,
     as_square,
     as_vector,
@@ -37,7 +39,6 @@ from .linalg import (
     dual_exponent,
     expm,
     gramian_doubling,
-    induced_norm,
     nuclear_norm,
     schur_form,
     spectral_abscissa,  # noqa: F401 (kept importable from this module)
@@ -274,7 +275,8 @@ def projective_norm(rho):
     Exact for p = 2 (nuclear norm of the grid) and p = 1 (entrywise
     absolute sum); any other exponent returns a certified NormInterval
     (upper bound from explicit decompositions, lower bound from the
-    duality with operators of induced p -> q norm at most one).
+    duality with explicit operators P: E_ij, the duality-map outer products
+    of the singular pairs and sign(R'); no sampling).
     """
     R = rho.coeffs
     p = float(rho.p)
@@ -285,23 +287,8 @@ def projective_norm(rho):
     return _projective_interval(R, p)
 
 
-def _duality_vec(x, p):
-    """j(x) with <j(x), x> = ||x||_p and ||j(x)||_q = 1."""
-    x = np.asarray(x, dtype=float)
-    nx = vector_norm(x, p)
-    if nx == 0.0:
-        return np.zeros_like(x)
-    if math.isinf(p):
-        j = np.zeros_like(x)
-        i = int(np.argmax(np.abs(x)))
-        j[i] = np.sign(x[i])
-        return j
-    return np.sign(x) * np.abs(x / nx) ** (p - 1.0)
-
-
 def _projective_interval(R, p):
     n, m = R.shape
-    q = dual_exponent(p)
 
     # upper bounds: any explicit decomposition sum ||x_k|| ||y_k||
     U, sig, Vt = np.linalg.svd(R)
@@ -316,11 +303,7 @@ def _projective_interval(R, p):
     ]
     upper = min(uppers)
 
-    # lower bounds: trace(P R) for P with a certified ||P||_{p->q} <= 1
-    def norm_ub(P):
-        nrm = induced_norm(P, p, q)
-        return nrm.upper if isinstance(nrm, NormInterval) else nrm
-
+    # lower bounds: trace(P R) / ||P||_{p->q} for explicit P
     lower = float(np.abs(R).max())  # E_ij candidates have norm exactly 1
     # norm comparison: ||x||_p >= c ||x||_2 termwise bounds any l_p
     # decomposition cost below by c_x c_y times the exact l_2 (nuclear) norm
@@ -332,14 +315,11 @@ def _projective_interval(R, p):
             continue
         P = np.outer(_duality_vec(Vt[k, :], p), _duality_vec(U[:, k], p))
         lower = max(lower, float(np.trace(P @ R)))  # ||P||_{p->q} <= 1 exactly
-    rng = np.random.default_rng(0)
-    candidates = [np.sign(R.T)] + [rng.standard_normal((m, n)) for _ in range(32)]
-    for P in candidates:
-        ub = norm_ub(P)
-        if ub > 0:
-            lower = max(lower, float(np.trace(P @ R)) / ub)
-    lower = min(lower, upper)
-    return NormInterval(lower=lower, upper=upper)
+    P = np.sign(R.T)
+    ub = _induced_norm_upper(P, p, dual_exponent(p))
+    if ub > 0:
+        lower = max(lower, float(np.trace(P @ R)) / ub)
+    return NormInterval(lower=min(lower, upper), upper=upper)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from lyacert.cones import (
     order_unit_norm,
 )
 from lyacert.exceptions import InvalidOrderUnitError, UnsupportedConeOperation
-from lyacert.linalg import induced_norm, sym_basis, sym_to_vec
+from lyacert.linalg import induced_norm, sym_basis, sym_dim, sym_to_vec, vec_to_sym
 
 from conftest import random_psd, random_symmetric
 
@@ -194,6 +194,12 @@ class TestOrderUnitNorm:
             order_unit_norm(orth, e, x), rel=1e-9
         )
 
+    def test_polyhedral_above_1e18(self):
+        # the doubling runs up to ||x||_1 / r, not to a fixed 1e18; the
+        # result sits within the membership slack of the orthant's 1e19
+        val = order_unit_norm(ConeSpec.polyhedral(np.eye(2)), [1.0, 1.0], [1e19, 0.0])
+        assert val == pytest.approx(1e19, rel=1e-9)
+
     def test_zero_iff_zero(self, rng):
         cone = ConeSpec.psd(3)
         assert order_unit_norm(cone, np.eye(3), np.zeros((3, 3))) == 0.0
@@ -264,6 +270,48 @@ class TestMapPreservesCone:
         cone = ConeSpec.psd(3)
         L = CongruenceMap(M=rng.standard_normal((3, 3))).matrix()
         assert map_preserves_cone(cone, L).preserves
+
+    @staticmethod
+    def lift(phi, n):
+        """Matrix of the linear map phi on Sym(n) coordinates."""
+        return np.column_stack(
+            [sym_to_vec(phi(vec_to_sym(e, n))) for e in np.eye(sym_dim(n))])
+
+    def reduction_map(self, n, c):
+        """X -> tr(X) I - c X, positive iff c <= 1."""
+        return self.lift(lambda X: np.trace(X) * np.eye(n) - c * X, n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_psd_reduction_map_accepted(self, n):
+        assert map_preserves_cone(ConeSpec.psd(n), self.reduction_map(n, 1.0)).preserves
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_psd_reduction_map_refused_on_a_ray(self, n):
+        # tr(X) I - 1.01 X is PSD on every full-rank X with tr(X) >= 1.01
+        # lambda_max(X); only a (nearly) rank-one X shows the violation
+        result = map_preserves_cone(ConeSpec.psd(n), self.reduction_map(n, 1.01))
+        assert not result.preserves
+        assert np.linalg.matrix_rank(result.witness) == 1
+        image = np.trace(result.witness) * np.eye(n) - 1.01 * result.witness
+        assert np.linalg.eigvalsh(image)[0] < 0
+
+    def test_psd_rays_match_a_loop_over_cone_contains(self, rng):
+        # reference: each ray vv', v in {e_i, e_i + e_j, e_i - e_j}, mapped
+        # through sym_to_vec / vec_to_sym and tested by cone_contains
+        for k in range(40):
+            n = 2 + k % 3
+            M, c = 0.5 * rng.standard_normal((n, n)), rng.uniform(0.8, 1.6)
+            L = self.lift(lambda X: M.T @ X @ M + np.trace(X) * np.eye(n) - c * X, n)
+            E = np.eye(n)
+            rays = [np.outer(v, v) for v in E] + [
+                np.outer(E[i] + s * E[j], E[i] + s * E[j])
+                for s in (1.0, -1.0) for i, j in zip(*np.triu_indices(n, 1))]
+            failing = [X for X in rays
+                       if not cone_contains(ConeSpec.psd(n), L @ sym_to_vec(X))]
+            result = map_preserves_cone(ConeSpec.psd(n), L)
+            assert result.preserves == (not failing)
+            if failing:
+                np.testing.assert_array_equal(result.witness, failing[0])
 
     def test_polyhedral_decided_on_generators(self):
         cone = ConeSpec.polyhedral(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]))

@@ -25,6 +25,7 @@ from lyacert.linalg import (
     sym_basis,
     sym_to_vec,
     vec_to_sym,
+    vector_norm,
 )
 from lyacert.semigroup import SemigroupProbe, lemma_AS_suite
 
@@ -370,6 +371,46 @@ class TestInducedNorm:
         result = induced_norm(M, 3.0, 1.5)
         assert result.lower <= result.upper
         assert result.lower > 0
+
+
+    def test_lower_bound_near_angle_scan_maximum(self):
+        # 2x2 maps: the unit circle is scanned at 200001 angles, whose best
+        # ratio is a lower bound as good as the power iteration's to 1e-3
+        pairs = [(1.5, 1.5), (3.0, 3.0), (4.0, 4.0), (1.5, 3.0), (3.0, 1.5),
+                 (math.inf, 1.0), (2.0, 1.0)]
+        theta = np.linspace(0.0, np.pi, 200001)
+        X = np.vstack([np.cos(theta), np.sin(theta)])
+        rng = np.random.default_rng(0)
+        for k in range(300):
+            pf, pt = pairs[k % len(pairs)]
+            M = rng.standard_normal((2, 2))
+            ratios = np.linalg.norm(M @ X, ord=pt, axis=0) / np.linalg.norm(X, ord=pf, axis=0)
+            scan = float(ratios.max())
+            result = induced_norm(M, pf, pt)
+            assert result.lower >= (1.0 - 1e-3) * scan
+            assert result.upper >= (1.0 - 1e-12) * scan
+
+    @pytest.mark.parametrize("d", [(1e200, -1.0), (1e-200, 1e-201)], ids=["1e200", "1e-200"])
+    def test_interval_holds_at_extreme_scale(self, d):
+        # ||diag(d)||_{3->3} = max |d|: no |x_i|^3 may overflow or underflow
+        result = induced_norm(np.diag(d), 3.0, 3.0)
+        norm = max(abs(v) for v in d)
+        assert (1.0 - 1e-14) * norm <= result.lower <= norm <= result.upper
+
+
+class TestVectorNorm:
+    @pytest.mark.parametrize("p", [3.0, 1.5])
+    def test_no_overflow_or_underflow(self, p):
+        assert vector_norm([1e200, 0.0], p) == pytest.approx(1e200, rel=1e-15)
+        assert vector_norm([1e-200, 0.0], p) == pytest.approx(1e-200, rel=1e-15)
+        assert vector_norm([0.0, 0.0], p) == 0.0
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_power_of_two_scaling_is_exact(self, rng, p):
+        # sums, squares, sqrt and max commute with power-of-two scaling
+        for _ in range(50):
+            x = rng.standard_normal(7) * 10.0 ** rng.uniform(-5, 5)
+            assert vector_norm(x, p) == np.linalg.norm(x, ord=p)
 
 
 class TestNuclearNorm:

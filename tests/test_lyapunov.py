@@ -227,6 +227,15 @@ class TestProjectiveNorm:
         result = projective_norm(rho)
         assert 0 < result.lower <= result.upper
 
+    def test_general_p_interval_scales_to_1e_minus_200(self):
+        # pi(c rho) = c pi(rho): at c = 1e-200 no |x_i|^3 may underflow
+        R = np.array([[1.0, 2.0], [3.0, -1.0]])
+        unit = projective_norm(Tensor2(coeffs=R, p=3.0))
+        tiny = projective_norm(Tensor2(coeffs=1e-200 * R, p=3.0))
+        assert tiny.lower > 0
+        for a, b in zip(tiny, unit):
+            assert a == pytest.approx(1e-200 * b, rel=1e-14)
+
     def test_duality_dominance(self, rng):
         # <<P, rho>> <= ||P||_{2->2} pi(rho) in the Euclidean pairing
         for _ in range(20):
