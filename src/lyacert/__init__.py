@@ -7,7 +7,7 @@ units, implemented/tensor-product semigroups with projective duality, and
 detectability/observability tests.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .exceptions import (  # noqa: F401
     DimensionError,
@@ -79,6 +79,7 @@ from .detect import (  # noqa: F401
     DetectabilityReport,
     ObservedPair,
     detectability_report,
+    final_observability,
     final_observability_constant,
     hautus_detectable,
     l2_detectable,

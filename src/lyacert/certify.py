@@ -53,6 +53,7 @@ __all__ = [
     "VERDICT_STABLE",
     "VERDICT_UNSTABLE",
     "VERDICT_INCONCLUSIVE",
+    "CERTIFICATE_SCHEMA",
     "parse_problem",
     "problem_from_dict",
     "canonical_json",
@@ -65,6 +66,9 @@ __all__ = [
 VERDICT_STABLE = "ExponentiallyStable"
 VERDICT_UNSTABLE = "Unstable"
 VERDICT_INCONCLUSIVE = "Inconclusive"
+
+#: version of the certificate's key layout, written as its "schema" key
+CERTIFICATE_SCHEMA = 1
 
 DEFAULT_TOLERANCES = {
     "residual": 1e-8,   # relative residual bound for the Lyapunov solve
@@ -246,14 +250,18 @@ class Certificate:
                 )
 
     def to_dict(self):
+        """Schema 1: each fact once.  ``detectability`` carries only the L2
+        decision (the injection F stays on the report), and eps* sits at
+        the top level."""
         return {
+            "schema": CERTIFICATE_SCHEMA,
             "verdict": self.verdict,
             "P": None if self.P is None else self.P.tolist(),
             "residual": self.residual,
             "growth": None
             if self.growth is None
             else {"M": self.growth.M, "eps": self.growth.eps},
-            "detectability": self.detectability.to_dict(),
+            "detectability": {"l2": self.detectability.l2},
             "eps_star": self.detectability.eps_star,
             "cross_check_abscissa": self.cross_check_abscissa,
             "method": self.method,

@@ -22,7 +22,7 @@ from .certify import (
     run_gallery,
     wonham_certify,
 )
-from .detect import detectability_report, final_observability_constant
+from .detect import detectability_report, final_observability
 from .exceptions import LyacertError, ProblemFormatError
 from .lyapunov import lyap_apply, lyap_solve_direct, lyap_solve_integral
 from .linalg import NormInterval, induced_norm, nuclear_norm
@@ -156,10 +156,12 @@ def cmd_detect(args):
 
 
 def cmd_observe(args):
+    """eps* at t0 and detect.final_observability's decision."""
     spec = _load_problem(args.input)
-    eps = final_observability_constant(spec.pair, args.t0)
+    final = final_observability(spec.pair, args.t0)
     _emit(
-        {"t0": args.t0, "eps_star": eps, "finally_observable": eps > 1e-10},
+        {"t0": args.t0, "eps_star": final.eps_star,
+         "finally_observable": final.observable},
         args.out,
     )
     return 0

@@ -201,8 +201,11 @@ def order_unit_norm(cone, e, x):
 
     Orthant: max_i |x_i| / e_i.  PSD with unit e = I: largest absolute
     eigenvalue of x.  General PSD e: largest absolute eigenvalue of
-    e^{-1/2} x e^{-1/2}.  Polyhedral: bisection on cone membership, after
-    doubling from 1 up to ||x||_1 / r, which fits by is_order_unit's check.
+    e^{-1/2} x e^{-1/2}.  Simplicial polyhedral (square generator matrix
+    G, nonsingular once e is an order unit): the orthant formula in the
+    generator basis, max_i |(G^{-1} x)_i| / (G^{-1} e)_i.  Other
+    polyhedral cones: bisection on cone membership, after doubling from 1
+    up to ||x||_1 / r, which fits by is_order_unit's check.
     Raises InvalidOrderUnitError unless is_order_unit(cone, e), so a
     polyhedral e on the cone's boundary is refused.
     """
@@ -217,6 +220,14 @@ def order_unit_norm(cone, e, x):
         inv_sqrt = (U / np.sqrt(lam_e)) @ U.T
         w = np.linalg.eigvalsh(inv_sqrt @ x @ inv_sqrt)
         return float(np.max(np.abs(w)))
+    G = cone.generators
+    if G.shape[0] == G.shape[1]:
+        coords = np.linalg.solve(G, np.column_stack([x, e]))
+        if np.any(coords[:, 1] <= 0.0):  # is_order_unit is exact for n < 100 only
+            raise InvalidOrderUnitError(
+                "e is not an order unit of the cone: a generator coordinate "
+                f"of e is {float(coords[:, 1].min()):.3e}")
+        return float(np.max(np.abs(coords[:, 0]) / coords[:, 1]))
     if float(np.linalg.norm(x)) == 0.0:
         return 0.0
 

@@ -48,6 +48,8 @@ __all__ = [
     "stabilizing_output_injection",
     "observability_gramian",
     "final_observability_constant",
+    "FinalObservability",
+    "final_observability",
     "pi_detector_check",
     "observer_implies_detector_audit",
     "detectability_report",
@@ -168,7 +170,7 @@ def _check_notions_agree(hautus, l2):
     if hautus != l2:
         raise InternalInconsistencyError(
             "detectability notions disagree",
-            diagnostics={"hautus": hautus, "exponential": hautus, "l2": l2},
+            diagnostics={"hautus": hautus, "l2": l2},
         )
 
 
@@ -223,13 +225,8 @@ def observability_gramian(pair, t0):
     return gramian_integral(pair.A, pair.Q, check_time(t0, "t0", positive=True))
 
 
-def final_observability_constant(pair, t0):
-    """Best eps with int_0^{t0} ||C T x||^2 >= eps ||T(t0) x||^2 for all x.
-
-    With y = T(t0) x the ratio is y' e^{-t0 A'} W(t0) e^{-t0 A} y / ||y||^2,
-    and that matrix is the Gramian of the time-reversed pair (C, -A) on
-    [0, t0]; eps* is its smallest eigenvalue.  The pair is continuously
-    finally observable iff the returned value is positive."""
+def _reversed_gramian_spectrum(pair, t0):
+    """Ascending eigenvalues of the Gramian of (C, -A) on [0, t0]."""
     with np.errstate(over="ignore", invalid="ignore"):
         W = gramian_integral(-pair.A, pair.Q, check_time(t0, "t0", positive=True))
     if not np.all(np.isfinite(W)):
@@ -237,9 +234,57 @@ def final_observability_constant(pair, t0):
             f"final observability: Gramian of (C, -A) overflows at t0 = {t0:g}"
         )
     try:
-        return float(np.linalg.eigvalsh(W)[0])
+        return np.linalg.eigvalsh(W)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"final observability: eigensolve failed: {exc}") from exc
+
+
+def final_observability_constant(pair, t0):
+    """Best eps with int_0^{t0} ||C T x||^2 >= eps ||T(t0) x||^2 for all x.
+
+    With y = T(t0) x the ratio is y' e^{-t0 A'} W(t0) e^{-t0 A} y / ||y||^2,
+    and that matrix is the Gramian of the time-reversed pair (C, -A) on
+    [0, t0]; eps* is its smallest eigenvalue, as computed: it can round to
+    a tiny or negative number on an observable pair, so the decision is
+    final_observability's, not the sign of this value."""
+    return float(_reversed_gramian_spectrum(pair, t0)[0])
+
+
+class FinalObservability(NamedTuple):
+    eps_star: float   # final_observability_constant at t0
+    observable: bool  # finally observable at t0, that is, observable
+
+
+def final_observability(pair, t0):
+    """eps* at t0 and the one decision "finally observable".
+
+    At finite dimension and t0 > 0 the pair is finally observable iff it is
+    observable, iff the Gramian of (C, -A) is positive definite on any
+    horizon.  It is taken as positive definite when its smallest eigenvalue
+    exceeds 10 n u times its largest (u the unit roundoff; homogeneous in
+    C, so blind to the output's scale), at t0 or at 1/||A||_2 < t0, where
+    e^{-tA} stays within a factor e and stiff pairs resolve.  When neither
+    Gramian resolves, the rank test of unobservable_subspace decides; if
+    that test fails itself (a Krylov misrank or overflow), the pair is
+    reported as not observable."""
+    lam = _reversed_gramian_spectrum(pair, t0)
+    norm = float(np.linalg.norm(pair.A, 2))
+    observable = _resolved(lam, pair.n) or (
+        norm * t0 > 1.0
+        and _resolved(_reversed_gramian_spectrum(pair, 1.0 / norm), pair.n)
+    )
+    if not observable:
+        try:
+            observable = unobservable_subspace(pair).shape[1] == 0
+        except (InternalInconsistencyError, NumericalError):
+            pass
+    return FinalObservability(eps_star=float(lam[0]), observable=bool(observable))
+
+
+def _resolved(lam, n):
+    """Ascending Gramian eigenvalues ``lam``: positive definite beyond
+    rounding."""
+    return bool(lam[0] > 10 * n * np.finfo(float).eps * lam[-1])
 
 
 class PiDetectorResult(NamedTuple):
@@ -305,8 +350,9 @@ def observer_implies_detector_audit(pair, t0):
     inequality for all x is the matrix inequality P_inf <= W(t0) + (t0/eps*)
     P_C.  Reported is its worst relative violation over all x,
     max(0, 1 - lambda_min) of the pencil (W(t0) + (t0/eps*) P_C, P_inf),
-    which must be <= 1e-6.  The pair counts as finally observable when
-    eps* > 1e-10.  The abscissa and both solves read the pair's one Schur
+    which must be <= 1e-6.  A pair that final_observability refuses raises
+    NotObserverError; an observable pair whose eps* rounds to <= 0 raises
+    NumericalError.  The abscissa and both solves read the pair's one Schur
     form."""
     form = pair.schur
     alpha = form.abscissa
@@ -314,10 +360,16 @@ def observer_implies_detector_audit(pair, t0):
         raise NotStableError(
             f"audit requires a stable generator (abscissa {alpha:.3e})"
         )
-    eps_star = final_observability_constant(pair, t0)
-    if eps_star <= 1e-10:
+    final = final_observability(pair, t0)
+    eps_star = final.eps_star
+    if not final.observable:
         raise NotObserverError(
             f"pair is not finally observable at t0={t0}: eps* = {eps_star:.3e}"
+        )
+    if eps_star <= 0.0:
+        raise NumericalError(
+            f"observer audit: eps* of the observable pair rounds to "
+            f"{eps_star:.3e} at t0={t0}"
         )
     eye = np.eye(pair.n)
     P_inf = lyap_solve_direct(form, eye)
@@ -381,8 +433,6 @@ class DetectabilityReport:
 
     def to_dict(self):
         return {
-            "hautus": self.hautus,
-            "exponential": self.exponential,
             "F": None if self.F is None else self.F.tolist(),
             "l2": self.l2,
             "eps_star": self.eps_star,

@@ -52,6 +52,10 @@ DECAY_TOL = 1e-9
 ABSCISSA_TOL = 1e-10
 #: steps of the p-norm power iteration behind an induced-norm lower bound
 POWER_STEPS = 5
+#: up to this many columns an (inf, p) norm is the exact vertex maximum; a
+#: cost cap: on one core that costs at most the power iteration's enclosure
+#: up to 11 columns (0.10 vs 0.29 ms) and 2.3x it at 12
+VERTEX_MAX_COLS = 11
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +96,8 @@ class GrowthBound:
 
 
 class NormInterval(NamedTuple):
-    """Certified enclosure [lower, upper] of a norm with no closed form."""
+    """Certified enclosure [lower, upper] of a norm with no closed form
+    (lower == upper where the pair has one on some shapes only)."""
 
     lower: float
     upper: float
@@ -434,7 +439,10 @@ def induced_norm(M, p_from, p_to):
     certified NormInterval, never a point estimate: the upper bound from
     norm interpolation, the lower bound after POWER_STEPS p-norm power steps
     x <- j_q(M' j_p(Mx)) (Higham, Numer. Math. 62, 1992) from e_j, the top
-    right singular vector and the ones vector, with no sampling.
+    right singular vector and the ones vector, with no sampling.  For
+    p_from = inf and at most VERTEX_MAX_COLS columns the interval is the
+    norm itself, [v, v]: the convex ||Mx|| peaks over the cube at a vertex,
+    so v is the largest ||Mx|| over the 2^(cols-1) sign vectors x up to +-x.
     """
     M = as_matrix(M, "M")
     pf, pt = _pvalue(p_from), _pvalue(p_to)
@@ -449,7 +457,20 @@ def induced_norm(M, p_from, p_to):
         return float(_lp_norms(M.T, dual_exponent(pf)).max())
     if pf == 2.0 and pt == 2.0:
         return float(np.linalg.norm(M, 2))
+    if math.isinf(pf) and M.shape[1] <= VERTEX_MAX_COLS:
+        return _vertex_norm(M, pt)
     return _induced_norm_interval(M, pf, pt)
+
+
+def _vertex_norm(M, pt):
+    """||M||_{inf -> pt} as the degenerate NormInterval [v, v]: the convex
+    ||Mx||_pt peaks over the cube at a vertex, so v is the largest
+    ||Mx||_pt over the 2^(cols-1) sign vectors x with x_1 = 1."""
+    n = M.shape[1]
+    signs = (np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 1)) & 1
+    X = np.hstack([np.ones((len(signs), 1)), 1.0 - 2.0 * signs]).T
+    v = float(_lp_norms(M @ X, pt).max())
+    return NormInterval(lower=v, upper=v)
 
 
 def _induced_norm_upper(M, pf, pt):

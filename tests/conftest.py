@@ -5,10 +5,25 @@ reproducible; constructed instances keep their decisive eigenvalues well
 away from the imaginary axis.
 """
 
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 
 from lyacert.linalg import expm, gramian_doubling, spectral_abscissa
+
+BENCHMARKS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def benchmark_module(name):
+    """benchmarks/<name>.py loaded as a module, read-only, without putting
+    benchmarks/ on sys.path."""
+    spec = importlib.util.spec_from_file_location(
+        f"benchmark_{name}", BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_matrix(rng, n):

@@ -30,7 +30,19 @@ from lyacert.exceptions import (
 from lyacert.linalg import expm, spectral_abscissa
 from lyacert.lyapunov import lyap_solve_direct
 
-from conftest import heat_equation_problem, random_observed_pair, slow_decay_problem
+from conftest import (
+    benchmark_module,
+    heat_equation_problem,
+    random_observed_pair,
+    slow_decay_problem,
+)
+
+#: the top-level keys of a schema-1 certificate
+SCHEMA_1_KEYS = {
+    "schema", "verdict", "P", "residual", "growth", "detectability",
+    "eps_star", "cross_check_abscissa", "method", "reason", "tool_version",
+    "input_digest",
+}
 
 
 class TestProblemSpec:
@@ -199,13 +211,11 @@ class TestWonhamCertify:
         spec = problem_from_dict({"A": [[-1.0]], "C": [[1.0]], "t0": 1.0})
         cert = wonham_certify(spec)
         d = json.loads(cert.to_json())
-        assert set(d) == {
-            "verdict", "P", "residual", "growth", "detectability", "eps_star",
-            "cross_check_abscissa", "method", "reason", "tool_version",
-            "input_digest",
-        }
+        assert set(d) == SCHEMA_1_KEYS
+        assert d["schema"] == 1
+        assert d["detectability"] == {"l2": True}
         assert d["eps_star"]["t0"] == 1.0
-        assert d["tool_version"]
+        assert d["tool_version"] == lyacert.__version__
 
 
 class TestKrylovMisrank:
@@ -310,6 +320,56 @@ class TestGallery:
             assert cert["cross_check_abscissa"] == pytest.approx(abscissa, abs=1e-12)
             if cert["verdict"] == VERDICT_STABLE:
                 assert abscissa < 0
+
+
+def _key_count(obj, key):
+    """Occurrences of ``key`` as a dictionary key anywhere in ``obj``."""
+    if isinstance(obj, dict):
+        return (key in obj) + sum(_key_count(v, key) for v in obj.values())
+    if isinstance(obj, list):
+        return sum(_key_count(v, key) for v in obj)
+    return 0
+
+
+def _workload_certificates():
+    """Certificates of the four benchmark workload rounds at seed 1; only
+    the inputs labelled InternalInconsistencyError may raise it."""
+    problems = benchmark_module("problems")
+    for name, build in problems.WORKLOADS.items():
+        for problem in build(1):
+            try:
+                cert = wonham_certify(parse_problem(problem["text"]))
+            except InternalInconsistencyError:
+                if problem.get("known_failure") != "InternalInconsistencyError":
+                    raise
+                continue
+            yield name, cert.to_json()
+
+
+class TestSchema1:
+    def _check(self, text):
+        d = json.loads(text)
+        assert set(d) == SCHEMA_1_KEYS
+        assert d["schema"] == 1
+        assert set(d["detectability"]) == {"l2"}
+        assert isinstance(d["detectability"]["l2"], bool)
+        assert _key_count(d, "F") == 0
+        assert _key_count(d, "eps_star") == 1
+        assert d["eps_star"] is None or set(d["eps_star"]) == {"t0", "value"}
+
+    def test_gallery(self, tmp_path):
+        for record in run_gallery(tmp_path / "gallery"):
+            with open(record["certificate"]) as fh:
+                self._check(fh.read())
+
+    def test_workload_rounds(self):
+        counts = {}
+        for name, text in _workload_certificates():
+            self._check(text)
+            counts[name] = counts.get(name, 0) + 1
+        # the two mid-size inputs labelled as known failures give none
+        assert counts == {"small-mix": 50, "mid-size": 28, "slow-decay": 53,
+                          "batch": 200}
 
 
 class TestDecayCsv:

@@ -185,8 +185,9 @@ class TestOrderUnitNorm:
         )
 
     def test_polyhedral_bisection_matches_orthant(self):
-        # the orthant is the polyhedral cone on coordinate generators
-        poly = ConeSpec.polyhedral(np.eye(3))
+        # the orthant is the polyhedral cone on the coordinate generators and
+        # the redundant ones vector, which is not simplicial: it bisects
+        poly = ConeSpec.polyhedral(np.column_stack([np.eye(3), np.ones(3)]))
         orth = ConeSpec.orthant(3)
         e = np.array([1.0, 2.0, 0.5])
         x = np.array([2.0, -1.0, 0.25])
@@ -196,9 +197,37 @@ class TestOrderUnitNorm:
 
     def test_polyhedral_above_1e18(self):
         # the doubling runs up to ||x||_1 / r, not to a fixed 1e18; the
-        # result sits within the membership slack of the orthant's 1e19
-        val = order_unit_norm(ConeSpec.polyhedral(np.eye(2)), [1.0, 1.0], [1e19, 0.0])
+        # bisection's result sits within the membership slack of 1e19
+        cone = ConeSpec.polyhedral(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+        val = order_unit_norm(cone, [1.0, 1.0], [1e19, 0.0])
         assert val == pytest.approx(1e19, rel=1e-9)
+
+    def test_simplicial_is_exact(self):
+        # square generators: the orthant formula in the generator basis,
+        # with no membership slack
+        cone = ConeSpec.polyhedral(np.eye(2))
+        assert order_unit_norm(cone, [1.0, 1.0], [1.0, 0.0]) == 1.0
+        assert order_unit_norm(cone, [1.0, 1.0], [1e19, 0.0]) == 1e19
+
+    def test_simplicial_matches_bisection(self, rng):
+        # the same cone spelled with one redundant interior generator bisects
+        G = np.array([[3.0, 1.0], [1.0, 3.0]])
+        simplicial = ConeSpec.polyhedral(G)
+        redundant = ConeSpec.polyhedral(np.column_stack([G, G.sum(axis=1)]))
+        for _ in range(20):
+            e = G @ (rng.uniform(0.5, 2.0, 2))
+            x = rng.standard_normal(2)
+            assert order_unit_norm(simplicial, e, x) == pytest.approx(
+                order_unit_norm(redundant, e, x), rel=1e-9
+            )
+
+    def test_simplicial_boundary_unit_refused(self, monkeypatch):
+        # should is_order_unit's slack accept a boundary e (possible at
+        # n >= 100), the generator coordinates of e refuse it
+        monkeypatch.setattr("lyacert.cones.is_order_unit", lambda cone, e: True)
+        cone = ConeSpec.polyhedral(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(InvalidOrderUnitError, match="generator coordinate"):
+            order_unit_norm(cone, [1.0, 1.0], [0.5, 0.25])
 
     def test_zero_iff_zero(self, rng):
         cone = ConeSpec.psd(3)

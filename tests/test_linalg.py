@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -389,6 +390,25 @@ class TestInducedNorm:
             result = induced_norm(M, pf, pt)
             assert result.lower >= (1.0 - 1e-3) * scan
             assert result.upper >= (1.0 - 1e-12) * scan
+
+    def test_inf_norm_is_the_vertex_maximum(self):
+        # ||Mx|| is convex, so over the l_inf ball it peaks at a sign vector;
+        # up to 11 columns the interval is that maximum, lower = upper
+        def vertex_max(M, pt):
+            X = np.array(list(itertools.product((1.0, -1.0), repeat=M.shape[1]))).T
+            return float(np.linalg.norm(M @ X, ord=pt, axis=0).max())
+
+        rng = np.random.default_rng(0)
+        for k in range(400):
+            M = rng.standard_normal(rng.integers(1, 7, size=2))
+            pt = (1.0, 1.5, 2.0, 3.0)[k % 4]
+            result = induced_norm(M, math.inf, pt)
+            assert result.lower == result.upper
+            assert result.lower == pytest.approx(vertex_max(M, pt), rel=1e-14)
+        # above 11 columns the power iteration's enclosure holds it
+        M = rng.standard_normal((3, 12))
+        result = induced_norm(M, math.inf, 1.0)
+        assert result.lower <= vertex_max(M, 1.0) * (1.0 + 1e-14) <= result.upper
 
     @pytest.mark.parametrize("d", [(1e200, -1.0), (1e-200, 1e-201)], ids=["1e200", "1e-200"])
     def test_interval_holds_at_extreme_scale(self, d):
