@@ -7,7 +7,7 @@ units, implemented/tensor-product semigroups with projective duality, and
 detectability/observability tests.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .exceptions import (  # noqa: F401
     DimensionError,
@@ -28,7 +28,6 @@ from .linalg import (  # noqa: F401
     GrowthBound,
     NormInterval,
     SchurForm,
-    SpaceNorm,
     cesaro_integral,
     expm,
     gramian_integral,

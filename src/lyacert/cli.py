@@ -24,7 +24,7 @@ from .certify import (
 )
 from .detect import detectability_report, final_observability
 from .exceptions import LyacertError, ProblemFormatError
-from .lyapunov import lyap_apply, lyap_solve_direct, lyap_solve_integral
+from .lyapunov import lyap_apply, lyap_solve_direct
 from .linalg import NormInterval, induced_norm, nuclear_norm
 from .semigroup import SemigroupProbe, lemma_AS_suite
 
@@ -137,14 +137,13 @@ def _certify_batch(in_dir, out_dir, workers):
 
 
 def cmd_solve(args):
+    """The solution and residual a certificate carries: lyap_solve_direct on
+    the pair's Schur form, held to the problem's residual tolerance."""
     spec = _load_problem(args.input)
-    A, Q = spec.pair.A, spec.pair.Q
-    if args.method == "direct":
-        P = lyap_solve_direct(A, Q, residual_rtol=spec.tolerances["residual"])
-    else:
-        P = lyap_solve_integral(A, Q)
-    residual = float(np.linalg.norm(lyap_apply(A, P) + Q))
-    _emit({"method": args.method, "P": P.tolist(), "residual": residual}, args.out)
+    pair = spec.pair
+    P = lyap_solve_direct(pair.schur, pair.Q, residual_rtol=spec.tolerances["residual"])
+    residual = float(np.linalg.norm(lyap_apply(pair.A, P) + pair.Q))
+    _emit({"P": P.tolist(), "residual": residual}, args.out)
     return 0
 
 
@@ -223,7 +222,6 @@ def build_parser():
 
     p = sub.add_parser("solve", help="solve A'P + PA = -Q")
     p.add_argument("--input", required=True)
-    p.add_argument("--method", choices=["direct", "integral"], default="direct")
     p.add_argument("--out")
     p.set_defaults(func=cmd_solve)
 

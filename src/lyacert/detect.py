@@ -136,12 +136,12 @@ def unobservable_subspace(pair):
         _, sig, Vt = np.linalg.svd(O)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"unobservable subspace: SVD failed: {exc}") from exc
-    rank_tol = max(O.shape) * np.finfo(float).eps
+    rtol = max(O.shape) * np.finfo(float).eps
     smax = sig[0] if sig.size else 0.0
     if smax == 0.0:
         basis = np.eye(n)
     else:
-        rank = int(np.sum(sig > rank_tol * smax))
+        rank = int(np.sum(sig > rtol * smax))
         basis = Vt[rank:].T
     if basis.shape[1]:
         resid = np.linalg.norm(A @ basis - basis @ (basis.T @ A @ basis))

@@ -17,7 +17,6 @@ import scipy.linalg
 from .exceptions import DimensionError, NotStableError, NumericalError
 
 __all__ = [
-    "SpaceNorm",
     "GrowthBound",
     "NormInterval",
     "SchurForm",
@@ -26,6 +25,7 @@ __all__ = [
     "as_vector",
     "check_symmetric",
     "check_time",
+    "check_exponent",
     "vector_norm",
     "dual_exponent",
     "expm",
@@ -61,25 +61,6 @@ VERTEX_MAX_COLS = 11
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpaceNorm:
-    """An l_p norm on R^dim, p in {1, 2, inf} or any p in (1, inf)."""
-
-    p: float
-    dim: int
-
-    def __post_init__(self):
-        if not (self.p >= 1.0):
-            raise ValueError(f"norm exponent must satisfy p >= 1, got {self.p}")
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
-
-    @property
-    def q(self):
-        """Dual exponent: 1/p + 1/q = 1 (q = inf when p = 1)."""
-        return dual_exponent(self.p)
-
 
 @dataclass(frozen=True)
 class GrowthBound:
@@ -165,16 +146,34 @@ def check_time(t, name="time", positive=False):
     return t
 
 
+def check_exponent(p, name="p"):
+    """float(p) for an l_p norm exponent, which must satisfy p >= 1 (inf is
+    allowed, NaN is not): the one exponent check of every norm here."""
+    p = float(p)
+    if not p >= 1.0:
+        raise ValueError(f"norm exponent {name} must satisfy p >= 1, got {p}")
+    return p
+
+
 def vector_norm(x, p):
-    """l_p norm, p in [1, inf], as 2^k ||2^-k x||_p with 2^k the binade of
-    max |x_i|: no power |x_i|^p overflows or underflows unless the norm does."""
+    """l_p norm, p in [1, inf], scaled as in _lp_norms: it overflows or
+    underflows only where the norm itself does."""
+    p = check_exponent(p)
     return float(_lp_norms(np.asarray(x, dtype=float).ravel(), p, axis=None))
 
 
 def _lp_norms(X, p, axis=0):
-    """Column l_p norms of X (axis=None: of the vector X), scaled as above."""
-    k = np.frexp(np.max(np.abs(X), axis=axis, keepdims=True, initial=0.0))[1]
-    return np.ldexp(np.linalg.norm(np.ldexp(X, -k), ord=p, axis=axis), k.squeeze(axis))
+    """Column l_p norms of X (axis=None: of the vector X), of an exponent
+    already checked.  For p in {1, 2, inf}, 2^k ||2^-k x||_p with 2^k the
+    binade of max |x_i|, which is exact; for any other p, m ||x / m||_p with
+    m = max |x_i|, whose largest entry adds exactly 1 to the sum of powers,
+    so that no p, however large, underflows the sum to 0."""
+    m = np.max(np.abs(X), axis=axis, keepdims=True, initial=0.0)
+    if p in (1.0, 2.0, math.inf):
+        k = np.frexp(m)[1]
+        return np.ldexp(np.linalg.norm(np.ldexp(X, -k), ord=p, axis=axis), k.squeeze(axis))
+    m = np.where(m > 0.0, m, 1.0)
+    return m.squeeze(axis) * np.linalg.norm(X / m, ord=p, axis=axis)
 
 
 def _duality_vec(X, p):
@@ -184,11 +183,6 @@ def _duality_vec(X, p):
         return np.eye(len(X))[np.argmax(np.abs(X), axis=0)].T * np.sign(X)
     nx = _lp_norms(X, p)
     return np.sign(X) * np.abs(X / np.where(nx > 0.0, nx, 1.0)) ** (p - 1.0)
-
-
-def _pvalue(p):
-    """Accept a SpaceNorm or a bare exponent."""
-    return float(p.p) if isinstance(p, SpaceNorm) else float(p)
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +439,7 @@ def induced_norm(M, p_from, p_to):
     so v is the largest ||Mx|| over the 2^(cols-1) sign vectors x up to +-x.
     """
     M = as_matrix(M, "M")
-    pf, pt = _pvalue(p_from), _pvalue(p_to)
-    if isinstance(p_from, SpaceNorm) and p_from.dim != M.shape[1]:
-        raise DimensionError("p_from dimension does not match columns")
-    if isinstance(p_to, SpaceNorm) and p_to.dim != M.shape[0]:
-        raise DimensionError("p_to dimension does not match rows")
+    pf, pt = check_exponent(p_from, "p_from"), check_exponent(p_to, "p_to")
 
     if pf == 1.0:  # extreme points of the l1 ball are +-e_j
         return float(_lp_norms(M, pt).max())

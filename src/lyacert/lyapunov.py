@@ -35,6 +35,7 @@ from .linalg import (
     as_matrix,
     as_square,
     as_vector,
+    check_exponent,
     check_symmetric,
     dual_exponent,
     expm,
@@ -67,6 +68,8 @@ __all__ = [
 
 #: |lambda_i + lambda_j| below this is a resonant (singular) Lyapunov operator
 RESONANCE_TOL = 1e-10
+#: rkhs_factor keeps the eigenpairs of Q with lambda >= RANK_TOL * lambda_max
+RANK_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -77,13 +80,13 @@ RESONANCE_TOL = 1e-10
 class Tensor2:
     """Element of R^n tensor R^n as an n x n coefficient grid.
 
-    coeffs[i, j] is the coefficient of e_i tensor e_j; p is the l_p
-    exponent of the factor space (default Euclidean).
+    coeffs[i, j] is the coefficient of e_i tensor e_j.  The l_p exponent
+    of the factor space is an argument of projective_norm, not of the
+    tensor.
     """
 
     coeffs: np.ndarray
     symmetric: bool = False
-    p: float = 2.0
 
     def __post_init__(self):
         R = as_square(self.coeffs, "coeffs")
@@ -92,34 +95,17 @@ class Tensor2:
             scale = max(float(np.linalg.norm(R)), 1.0)
             if float(np.abs(R - R.T).max()) > 1e-12 * scale:
                 raise ValueError("symmetric flag set on an asymmetric grid")
-        if not (self.p >= 1.0):
-            raise ValueError(f"norm exponent must satisfy p >= 1, got {self.p}")
 
     @property
     def dim(self):
         return self.coeffs.shape[0]
 
-    def to_dict(self):
-        return {
-            "coeffs": self.coeffs.tolist(),
-            "symmetric": self.symmetric,
-            "p": self.p,
-        }
 
-    @staticmethod
-    def from_dict(d):
-        return Tensor2(
-            coeffs=np.asarray(d["coeffs"], dtype=float),
-            symmetric=bool(d.get("symmetric", False)),
-            p=float(d.get("p", 2.0)),
-        )
-
-
-def monomial(x, y, p=2.0):
+def monomial(x, y):
     """The rank-one tensor x tensor y."""
     x = as_vector(x, name="x")
     y = as_vector(y, len(x), name="y")
-    return Tensor2(coeffs=np.outer(x, y), symmetric=bool(np.array_equal(x, y)), p=p)
+    return Tensor2(coeffs=np.outer(x, y), symmetric=bool(np.array_equal(x, y)))
 
 
 def pairing(P, rho):
@@ -135,7 +121,7 @@ def pairing(P, rho):
 def symmetric_project(rho):
     """Project onto the symmetric tensors: coeffs <- (coeffs + coeffs')/2."""
     R = 0.5 * (rho.coeffs + rho.coeffs.T)
-    return Tensor2(coeffs=R, symmetric=True, p=rho.p)
+    return Tensor2(coeffs=R, symmetric=True)
 
 
 def grothendieck_decompose(rho):
@@ -166,7 +152,7 @@ def positive_negative_split(rho):
     if not rho.symmetric:
         raise ValueError("positive_negative_split requires the symmetric flag")
     parts = decompose_pm(ConeSpec.psd(rho.dim), rho.coeffs)
-    return tuple(Tensor2(coeffs=R, symmetric=True, p=rho.p) for R in parts)
+    return tuple(Tensor2(coeffs=R, symmetric=True) for R in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +198,7 @@ def tensor_semigroup_apply(A, V, t, rho):
     symmetric = bool(rho.symmetric and same_gen)
     if symmetric:
         R = 0.5 * (R + R.T)
-    return Tensor2(coeffs=R, symmetric=symmetric, p=rho.p)
+    return Tensor2(coeffs=R, symmetric=symmetric)
 
 
 class LyapunovOperator:
@@ -261,16 +247,13 @@ class LyapunovOperator:
         L[index[l, m], c] = A[k, m]
         return L
 
-    def apply(self, P):
-        return lyap_apply(self.A, P)
-
 
 # ---------------------------------------------------------------------------
 # Projective tensor norm
 # ---------------------------------------------------------------------------
 
-def projective_norm(rho):
-    """pi(rho) = inf sum ||x_i||_p ||y_i||_p over decompositions.
+def projective_norm(rho, p=2.0):
+    """pi(rho) = inf sum ||x_i||_p ||y_i||_p over decompositions, p >= 1.
 
     Exact for p = 2 (nuclear norm of the grid) and p = 1 (entrywise
     absolute sum); any other exponent returns a certified NormInterval
@@ -279,7 +262,7 @@ def projective_norm(rho):
     of the singular pairs and sign(R'); no sampling).
     """
     R = rho.coeffs
-    p = float(rho.p)
+    p = check_exponent(p)
     if p == 2.0:
         return nuclear_norm(R)
     if p == 1.0:
@@ -326,12 +309,12 @@ def _projective_interval(R, p):
 # RKHS factorization and Lyapunov solvers
 # ---------------------------------------------------------------------------
 
-def rkhs_factor(Q, rank_tol=1e-12):
+def rkhs_factor(Q):
     """Spectral factor C with C'C = Q for PSD Q.
 
     Rows of C span the reproducing-kernel coordinates of Q; eigenpairs
-    with lambda < rank_tol * lambda_max are truncated, so C has
-    numerical-rank-many rows and ||C'C - Q|| <= n * rank_tol * lambda_max.
+    with lambda < RANK_TOL * lambda_max are truncated, so C has
+    numerical-rank-many rows and ||C'C - Q|| <= n * RANK_TOL * lambda_max.
     Q counts as PSD down to lambda_min >= -1e-9 * max |lambda|.
     """
     Q = check_symmetric(Q, "Q")
@@ -343,7 +326,7 @@ def rkhs_factor(Q, rank_tol=1e-12):
         )
     if lam_max <= 0.0:
         return np.zeros((0, Q.shape[0]))
-    keep = np.flatnonzero(lam >= rank_tol * lam_max)[::-1]  # descending
+    keep = np.flatnonzero(lam >= RANK_TOL * lam_max)[::-1]  # descending
     return (np.sqrt(lam[keep])[:, None]) * U[:, keep].T
 
 

@@ -27,10 +27,10 @@ from .linalg import (
     ABSCISSA_TOL,
     GROWTH_MARGIN,
     GrowthBound,
-    SpaceNorm,
     as_square,
     as_vector,
     cesaro_integral,
+    check_exponent,
     check_time,
     expm,
     growth_fit,
@@ -64,7 +64,7 @@ def is_metzler(A):
 
 @dataclass(frozen=True)
 class SemigroupProbe:
-    """Generator A with optional state cone and norm.
+    """Generator A with an optional state cone.
 
     When the cone is the orthant the constructor verifies that A is Metzler
     (off-diagonal >= 0, no negative slack), which is exactly positivity of
@@ -74,7 +74,6 @@ class SemigroupProbe:
 
     A: np.ndarray
     cone: Optional[ConeSpec] = None
-    norm: Optional[SpaceNorm] = None
 
     def __post_init__(self):
         A = as_square(self.A, "A")
@@ -89,8 +88,6 @@ class SemigroupProbe:
                 raise ValueError(
                     "orthant-positive semigroup requires a Metzler generator"
                 )
-        if self.norm is None:
-            object.__setattr__(self, "norm", SpaceNorm(p=2.0, dim=A.shape[0]))
 
     @property
     def dim(self):
@@ -214,13 +211,13 @@ def weak_detector_check(probe, z):
 # Trajectories, stability, S_infinity
 # ---------------------------------------------------------------------------
 
-def trajectory(probe, x, grid):
+def trajectory(probe, x, grid, p=2.0):
     """Sample (t, T(t)x, ||T(t)x||_p) along a nonnegative ascending grid."""
+    p = check_exponent(p)
     x = as_vector(x, probe.dim, "x")
     grid = [float(t) for t in grid]
     if any(t < 0 for t in grid) or any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be nonnegative and ascending")
-    p = probe.norm.p
     out = []
     for t in grid:
         v = expm(probe.A, t) @ x

@@ -225,7 +225,7 @@ def test_criterion_06_projective_norm():
     for n in (2, 3):
         for _ in range(3):
             R = rng.standard_normal((n, n))
-            formula = projective_norm(Tensor2(coeffs=R, p=1.0))
+            formula = projective_norm(Tensor2(coeffs=R), 1.0)
             assert formula == pytest.approx(float(np.abs(R).sum()))
             searched = _l1_decomposition_search(R, rng)
             assert searched >= formula * (1.0 - 1e-6) - 1e-9  # duality floor
@@ -234,8 +234,8 @@ def test_criterion_06_projective_norm():
     ratios = []
     for p in (1.5, 3.0):
         for _ in range(10):
-            rho = Tensor2(coeffs=rng.standard_normal((4, 4)), p=p)
-            result = projective_norm(rho)
+            rho = Tensor2(coeffs=rng.standard_normal((4, 4)))
+            result = projective_norm(rho, p)
             assert isinstance(result, NormInterval)
             assert result.lower <= result.upper
             ratios.append(result.ratio)

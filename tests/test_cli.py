@@ -211,15 +211,26 @@ class TestCertifyCommand:
 
 
 class TestSolveCommand:
-    def test_direct_and_integral_agree(self, problem_file, capsys):
-        assert main(["solve", "--input", problem_file, "--method", "direct"]) == 0
-        direct = json.loads(capsys.readouterr().out)
-        assert main(["solve", "--input", problem_file, "--method", "integral"]) == 0
-        integral = json.loads(capsys.readouterr().out)
-        P_d = np.asarray(direct["P"])
-        P_i = np.asarray(integral["P"])
-        assert np.linalg.norm(P_d - P_i) <= 1e-6 * np.linalg.norm(P_d)
-        assert direct["residual"] <= 1e-10
+    @pytest.mark.parametrize("name", ["stable_detectable", "unstable_detectable"])
+    def test_prints_the_certificate_solution(self, tmp_path, capsys, name):
+        # solve takes the certificate's one route, so it prints its P and
+        # residual bit for bit
+        assert main(["gallery", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        path = str(tmp_path / f"{name}.problem.json")
+        main(["certify", "--input", path])
+        cert = json.loads(capsys.readouterr().out)
+        assert cert["P"] is not None
+        assert main(["solve", "--input", path]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "P": cert["P"], "residual": cert["residual"]}
+
+    def test_method_flag_is_gone(self, problem_file, capsys):
+        assert main(["solve", "--input", problem_file, "--method", "integral"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
     def test_direct_honours_residual_tolerance(self, tmp_path, capsys):
         # the tolerance certify holds the solve to; no solve reaches 1e-30
@@ -231,7 +242,7 @@ class TestSolveCommand:
         }))
         assert main(["certify", "--input", str(path)]) == 1
         assert capsys.readouterr().err == "error: Lyapunov solve residual too large\n"
-        assert main(["solve", "--input", str(path), "--method", "direct"]) == 1
+        assert main(["solve", "--input", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: Lyapunov solve residual too large\n"
         assert captured.out == ""
@@ -323,6 +334,18 @@ class TestProbeAndNorms:
         assert main(["norms", "--input", problem_file, "--p", "3"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["induced"]["lower"] <= out["induced"]["upper"]
+
+    @pytest.mark.parametrize("p", ["1.0000001", "2000"])
+    def test_norms_interval_at_extreme_exponent(self, problem_file, capsys, p):
+        # at p = 1.0000001 the dual exponent is 1e7: no power may underflow
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["norms", "--input", problem_file, "--p", p]) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        induced = json.loads(captured.out)["induced"]
+        assert 0 < induced["lower"] <= induced["upper"]
 
 
 class TestBatch:

@@ -36,5 +36,5 @@ def test_norms_and_map_test_are_seedless(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", no_rng)
     assert induced_norm(M, 3.0, 1.5).lower > 0
-    assert projective_norm(Tensor2(coeffs=M, p=3.0)).lower > 0
+    assert projective_norm(Tensor2(coeffs=M), 3.0).lower > 0
     assert map_preserves_cone(ConeSpec.psd(3), L).preserves

@@ -12,8 +12,9 @@ from lyacert.exceptions import DimensionError, NotStableError, NumericalError
 from lyacert.linalg import (
     GrowthBound,
     NormInterval,
-    SpaceNorm,
     cesaro_integral,
+    check_exponent,
+    dual_exponent,
     expm,
     gramian_doubling,
     gramian_integral,
@@ -354,10 +355,6 @@ class TestInducedNorm:
             sv = np.linalg.svd(M, compute_uv=False)[0]
             assert abs(induced_norm(M, 2, 2) - sv) <= 1e-12 * sv
 
-    def test_space_norm_dimension_check(self):
-        with pytest.raises(DimensionError):
-            induced_norm(np.eye(3), SpaceNorm(p=2, dim=4), SpaceNorm(p=2, dim=3))
-
     def test_interval_brackets_diagonal_p3(self):
         # for diagonal maps the p->p norm is the largest |diagonal| entry
         M = np.diag([3.0, -1.0, 2.0])
@@ -425,6 +422,14 @@ class TestVectorNorm:
         assert vector_norm([1e-200, 0.0], p) == pytest.approx(1e-200, rel=1e-15)
         assert vector_norm([0.0, 0.0], p) == 0.0
 
+    @pytest.mark.parametrize("p", [1100.0, 1e7, 1e308])
+    def test_no_underflow_at_large_exponent(self, p):
+        # every |x_i|^p of the binade-scaled vector underflows above p ~ 1074
+        assert vector_norm([1.0, 0.5], p) == 1.0
+        assert vector_norm([1e200, 0.0], p) == 1e200
+        assert vector_norm([3.0, 3.0], p) == pytest.approx(3.0 * 2.0 ** (1.0 / p),
+                                                           rel=1e-15)
+
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
     def test_power_of_two_scaling_is_exact(self, rng, p):
         # sums, squares, sqrt and max commute with power-of-two scaling
@@ -468,13 +473,24 @@ class TestValidation:
             expm(np.array([[np.inf]]), 1.0)
 
     def test_space_norm_validation(self):
-        with pytest.raises(ValueError):
-            SpaceNorm(p=0.5, dim=2)
-        with pytest.raises(ValueError):
-            SpaceNorm(p=2.0, dim=0)
-        assert SpaceNorm(p=1.0, dim=2).q == math.inf
-        assert SpaceNorm(p=math.inf, dim=2).q == 1.0
-        assert SpaceNorm(p=1.5, dim=2).q == pytest.approx(3.0)
+        # 1/p + 1/q = 1 for the exponents of an l_p space and its dual
+        assert dual_exponent(1.0) == math.inf
+        assert dual_exponent(math.inf) == 1.0
+        assert dual_exponent(1.5) == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("p", [0.5, math.nan], ids=["0.5", "nan"])
+    def test_exponent_rule(self, p):
+        # p >= 1 or no norm: each side of an induced norm is checked
+        M = np.array([[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(ValueError, match="p >= 1"):
+            vector_norm([1.0, 1.0], p)
+        with pytest.raises(ValueError, match="p_from"):
+            induced_norm(M, p, 2.0)
+        with pytest.raises(ValueError, match="p_to"):
+            induced_norm(M, 2.0, p)
+        with pytest.raises(ValueError, match="p >= 1"):
+            check_exponent(p)
+        assert check_exponent(math.inf) == math.inf
 
     def test_check_symmetric_rejects_asymmetric(self):
         from lyacert.linalg import check_symmetric

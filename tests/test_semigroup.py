@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -37,7 +39,8 @@ class TestProbe:
 
     def test_default_norm_is_euclidean(self):
         probe = SemigroupProbe(A=np.zeros((3, 3)))
-        assert probe.norm.p == 2.0 and probe.norm.dim == 3
+        assert trajectory(probe, [2.0, 3.0, 6.0], [0.0])[0][2] == 7.0
+        assert trajectory(probe, [2.0, 3.0, 6.0], [0.0], p=1.0)[0][2] == 11.0
 
 
 class TestTrajectory:
@@ -63,6 +66,12 @@ class TestTrajectory:
         probe = SemigroupProbe(A=np.zeros((2, 2)))
         with pytest.raises(ValueError):
             trajectory(probe, [1.0, 0.0], [1.0, 0.5])
+
+    @pytest.mark.parametrize("p", [0.5, math.nan], ids=["0.5", "nan"])
+    def test_exponent_rule(self, p):
+        probe = SemigroupProbe(A=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="p >= 1"):
+            trajectory(probe, [1.0, 0.0], [0.0], p=p)
 
 
 class TestExponentialStability:
