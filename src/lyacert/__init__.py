@@ -7,7 +7,7 @@ units, implemented/tensor-product semigroups with projective duality, and
 detectability/observability tests.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .exceptions import (  # noqa: F401
     DimensionError,
@@ -60,7 +60,6 @@ from .semigroup import (  # noqa: F401
 )
 from .lyapunov import (  # noqa: F401
     LyapunovOperator,
-    Tensor2,
     grothendieck_decompose,
     implemented_apply,
     lyap_apply,
@@ -68,7 +67,6 @@ from .lyapunov import (  # noqa: F401
     lyap_solve_integral,
     monomial,
     pairing,
-    positive_negative_split,
     projective_norm,
     rkhs_factor,
     symmetric_project,

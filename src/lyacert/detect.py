@@ -218,21 +218,28 @@ def stabilizing_output_injection(pair):
     return F
 
 
+def _finite_gramian(A, Q, t0, name):
+    """gramian_integral(A, Q, t0) at t0 > 0; a non-finite W (its block
+    exponential overflows) raises NumericalError naming ``name`` and t0."""
+    t0 = check_time(t0, "t0", positive=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = gramian_integral(A, Q, t0)
+    if not np.all(np.isfinite(W)):
+        raise NumericalError(f"{name} overflows at t0 = {t0:g}")
+    return W
+
+
 def observability_gramian(pair, t0):
     """W(t0) = int_0^{t0} e^{tA'} C'C e^{tA} dt (block-exponential, exact).
 
     x' W x is the output energy int_0^{t0} ||C T(t) x||^2 dt."""
-    return gramian_integral(pair.A, pair.Q, check_time(t0, "t0", positive=True))
+    return _finite_gramian(pair.A, pair.Q, t0, "observability Gramian")
 
 
 def _reversed_gramian_spectrum(pair, t0):
     """Ascending eigenvalues of the Gramian of (C, -A) on [0, t0]."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        W = gramian_integral(-pair.A, pair.Q, check_time(t0, "t0", positive=True))
-    if not np.all(np.isfinite(W)):
-        raise NumericalError(
-            f"final observability: Gramian of (C, -A) overflows at t0 = {t0:g}"
-        )
+    name = "final observability: Gramian of (C, -A)"
+    W = _finite_gramian(-pair.A, pair.Q, t0, name)
     try:
         return np.linalg.eigvalsh(W)
     except np.linalg.LinAlgError as exc:
@@ -374,7 +381,8 @@ def observer_implies_detector_audit(pair, t0):
     eye = np.eye(pair.n)
     P_inf = lyap_solve_direct(form, eye)
     P_C = lyap_solve_direct(form, pair.Q)
-    bound = gramian_integral(pair.A, eye, t0) + (t0 / eps_star) * P_C
+    W = _finite_gramian(pair.A, eye, t0, "observer audit: W(t0)")
+    bound = W + (t0 / eps_star) * P_C
     try:
         lam_min = scipy.linalg.eigh(bound, P_inf, eigvals_only=True)[0]
     except np.linalg.LinAlgError as exc:
@@ -396,6 +404,9 @@ def duhamel_residual(pair, F, t, x):
     A, C = pair.A, pair.C
     n = pair.n
     F = as_matrix(F, "F")
+    if F.shape != (n, pair.m):
+        raise DimensionError(f"F must be {n} x {pair.m}, got {F.shape}")
+    t = check_time(t)
     x = as_vector(x, n, "x")
     Acl = A - F @ C
     M = np.zeros((2 * n, 2 * n))

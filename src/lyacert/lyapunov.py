@@ -2,23 +2,23 @@
 
 The Lyapunov generator L_A : P -> A'P + PA acts on Sym(n); its semigroup
 T(t)P = e^{tA'} P e^{tA} is the adjoint of the tensor semigroup
-rho -> (e^{tA} x) tensor (e^{tA} y) on R^n tensor R^n under the trace
-pairing <<P, x tensor y>> = <Px, y>.  This module realizes both, the
-matrix of L_A on the orthonormal Sym(n) coordinates of linalg.sym_to_vec,
-the projective tensor norms, the symmetric calculus, the RKHS
-factorization Q = C'C, and two independent Lyapunov solvers: -L_A^{-1}Q
-by Bartels-Stewart on the real Schur form of A' (linalg.SchurForm, which a
-caller that already holds the form passes in place of A), and the integral
-of the implemented semigroup by horizon doubling.
+x tensor y -> (e^{tA} x) tensor (e^{tA} y) under the trace pairing
+<<P, x tensor y>> = <Px, y>.  A tensor of R^n tensor R^n is its n x n
+coefficient grid R, R[i, j] the coefficient of e_i tensor e_j; the PSD
+split R = R+ - R- is cones.decompose_pm.  This module realizes both
+semigroups, the matrix of L_A on the orthonormal Sym(n) coordinates of
+linalg.sym_to_vec, the projective tensor norms, the symmetric calculus,
+the RKHS factorization Q = C'C, and two independent Lyapunov solvers:
+-L_A^{-1}Q by Bartels-Stewart on the real Schur form of A' (a
+linalg.SchurForm a caller may pass in place of A), and the integral of
+the implemented semigroup by horizon doubling.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .cones import ConeSpec, decompose_pm
 from .exceptions import (
     DimensionError,
     DivergenceError,
@@ -50,7 +50,6 @@ from .linalg import (
 )
 
 __all__ = [
-    "Tensor2",
     "LyapunovOperator",
     "monomial",
     "lyap_apply",
@@ -60,7 +59,6 @@ __all__ = [
     "projective_norm",
     "symmetric_project",
     "grothendieck_decompose",
-    "positive_negative_split",
     "rkhs_factor",
     "lyap_solve_direct",
     "lyap_solve_integral",
@@ -76,64 +74,38 @@ RANK_TOL = 1e-12
 # Tensors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Tensor2:
-    """Element of R^n tensor R^n as an n x n coefficient grid.
-
-    coeffs[i, j] is the coefficient of e_i tensor e_j.  The l_p exponent
-    of the factor space is an argument of projective_norm, not of the
-    tensor.
-    """
-
-    coeffs: np.ndarray
-    symmetric: bool = False
-
-    def __post_init__(self):
-        R = as_square(self.coeffs, "coeffs")
-        object.__setattr__(self, "coeffs", R)
-        if self.symmetric:
-            scale = max(float(np.linalg.norm(R)), 1.0)
-            if float(np.abs(R - R.T).max()) > 1e-12 * scale:
-                raise ValueError("symmetric flag set on an asymmetric grid")
-
-    @property
-    def dim(self):
-        return self.coeffs.shape[0]
-
-
 def monomial(x, y):
-    """The rank-one tensor x tensor y."""
+    """The rank-one tensor x tensor y: the grid outer(x, y)."""
     x = as_vector(x, name="x")
     y = as_vector(y, len(x), name="y")
-    return Tensor2(coeffs=np.outer(x, y), symmetric=bool(np.array_equal(x, y)))
+    return np.outer(x, y)
 
 
-def pairing(P, rho):
-    """<<P, rho>> = sum_ij coeffs[i,j] (P e_i)_j = trace(P @ coeffs).
+def pairing(P, R):
+    """<<P, R>> = sum_ij R[i,j] (P e_i)_j = trace(P @ R).
 
     On monomials this is <Px, y>."""
     P = as_square(P, "P")
-    if P.shape[0] != rho.dim:
-        raise DimensionError(f"P is {P.shape}, tensor dimension {rho.dim}")
-    return float(np.trace(P @ rho.coeffs))
+    R = as_square(R, "R")
+    if P.shape != R.shape:
+        raise DimensionError(f"P is {P.shape}, tensor grid {R.shape}")
+    return float(np.trace(P @ R))
 
 
-def symmetric_project(rho):
-    """Project onto the symmetric tensors: coeffs <- (coeffs + coeffs')/2."""
-    R = 0.5 * (rho.coeffs + rho.coeffs.T)
-    return Tensor2(coeffs=R, symmetric=True)
+def symmetric_project(R):
+    """Project onto the symmetric tensors: R <- (R + R')/2."""
+    R = as_square(R, "R")
+    return 0.5 * (R + R.T)
 
 
-def grothendieck_decompose(rho):
+def grothendieck_decompose(R):
     """Symmetric tensors decompose as sum_i a_i u_i tensor u_i.
 
-    Returns eigenpairs (a_i, u_i) of the coefficient grid, descending in
-    a_i, with a deterministic sign convention.  The positive/negative
-    split rho = rho+ - rho- follows by grouping signs.
+    Returns eigenpairs (a_i, u_i) of the grid R, which must pass
+    check_symmetric, descending in a_i, with a deterministic sign
+    convention.  Grouping signs gives the split of cones.decompose_pm.
     """
-    if not rho.symmetric:
-        raise ValueError("grothendieck_decompose requires the symmetric flag")
-    R = check_symmetric(rho.coeffs, "coeffs")
+    R = check_symmetric(R, "R")
     lam, U = np.linalg.eigh(R)
     order = np.argsort(lam)[::-1]
     out = []
@@ -144,15 +116,6 @@ def grothendieck_decompose(rho):
             u = -u
         out.append((float(lam[k]), u))
     return out
-
-
-def positive_negative_split(rho):
-    """rho = rho+ - rho- with both parts PSD coefficient grids: the spectral
-    split cones.decompose_pm of the grid on the PSD cone."""
-    if not rho.symmetric:
-        raise ValueError("positive_negative_split requires the symmetric flag")
-    parts = decompose_pm(ConeSpec.psd(rho.dim), rho.coeffs)
-    return tuple(Tensor2(coeffs=R, symmetric=True) for R in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -184,21 +147,17 @@ def implemented_apply(A, V, t, P):
     return expm(V, t).T @ P @ expm(A, t)
 
 
-def tensor_semigroup_apply(A, V, t, rho):
+def tensor_semigroup_apply(A, V, t, R):
     """Tensor semigroup on coefficient grids: R -> e^{tA} R e^{tV'}.
 
     Monomials map as x tensor y -> (e^{tA} x) tensor (e^{tV} y); this is
     the pre-adjoint of implemented_apply under the trace pairing."""
     A = as_square(A, "A")
     V = as_square(V, "V")
-    if A.shape[0] != rho.dim or V.shape[0] != rho.dim:
+    R = as_square(R, "R")
+    if A.shape != R.shape or V.shape != R.shape:
         raise DimensionError("generator dimensions do not match the tensor")
-    R = expm(A, t) @ rho.coeffs @ expm(V, t).T
-    same_gen = A is V or np.array_equal(A, V)
-    symmetric = bool(rho.symmetric and same_gen)
-    if symmetric:
-        R = 0.5 * (R + R.T)
-    return Tensor2(coeffs=R, symmetric=symmetric)
+    return expm(A, t) @ R @ expm(V, t).T
 
 
 class LyapunovOperator:
@@ -252,8 +211,8 @@ class LyapunovOperator:
 # Projective tensor norm
 # ---------------------------------------------------------------------------
 
-def projective_norm(rho, p=2.0):
-    """pi(rho) = inf sum ||x_i||_p ||y_i||_p over decompositions, p >= 1.
+def projective_norm(R, p=2.0):
+    """pi(R) = inf sum ||x_i||_p ||y_i||_p over decompositions, p >= 1.
 
     Exact for p = 2 (nuclear norm of the grid) and p = 1 (entrywise
     absolute sum); any other exponent returns a certified NormInterval
@@ -261,7 +220,7 @@ def projective_norm(rho, p=2.0):
     duality with explicit operators P: E_ij, the duality-map outer products
     of the singular pairs and sign(R'); no sampling).
     """
-    R = rho.coeffs
+    R = as_square(R, "R")
     p = check_exponent(p)
     if p == 2.0:
         return nuclear_norm(R)

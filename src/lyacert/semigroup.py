@@ -321,16 +321,15 @@ def lemma_AS_suite(probe, t=1.0, h=1e-5):
 class StabilityReport:
     """Verdicts per stability notion for one probe.
 
-    At finite dimension L1 pi-stability coincides with exponential
-    stability (Datko-Pazy), so the two fields always agree; the
-    constructor enforces exponential => weak-L1 consistency.
+    ``exponential`` is exponential stability; at finite dimension L1
+    pi-stability is the same notion (Datko-Pazy), so it has no field of its
+    own.  The constructor enforces exponential => weak-L1 consistency.
     """
 
     exponential: bool
     growth: Optional[GrowthBound]
     weak_L1_on_cone: Optional[bool]
     weak_L1_witness: Optional[tuple]
-    L1_pi: bool
 
     def __post_init__(self):
         if (
@@ -344,15 +343,13 @@ class StabilityReport:
             )
 
     def to_dict(self):
-        d = {
+        return {
             "exponential": self.exponential,
             "growth": None
             if self.growth is None
             else {"M": self.growth.M, "eps": self.growth.eps},
             "weak_L1_on_cone": self.weak_L1_on_cone,
-            "L1_pi": self.L1_pi,
         }
-        return d
 
 
 def stability_report(probe):
@@ -367,5 +364,4 @@ def stability_report(probe):
         growth=growth,
         weak_L1_on_cone=None if weak is None else weak.stable,
         weak_L1_witness=None if weak is None else weak.witness,
-        L1_pi=exponential,
     )

@@ -20,7 +20,7 @@ from lyacert.certify import (
     problem_from_dict,
     wonham_certify,
 )
-from lyacert.cones import ConeSpec
+from lyacert.cones import ConeSpec, decompose_pm
 from lyacert.detect import (
     ObservedPair,
     detectability_report,
@@ -30,12 +30,10 @@ from lyacert.detect import (
 )
 from lyacert.linalg import NormInterval, spectral_abscissa
 from lyacert.lyapunov import (
-    Tensor2,
     implemented_apply,
     lyap_solve_direct,
     monomial,
     pairing,
-    positive_negative_split,
     projective_norm,
     tensor_semigroup_apply,
 )
@@ -141,7 +139,7 @@ def test_criterion_04_tensor_duality():
         A = random_matrix(rng, n)
         V = A if rng.uniform() < 0.5 else random_matrix(rng, n)
         P = rng.standard_normal((n, n))
-        rho = Tensor2(coeffs=rng.standard_normal((n, n)))
+        rho = rng.standard_normal((n, n))
         t = rng.uniform(0.0, 5.0)
         lhs = pairing(implemented_apply(A, V, t, P), rho)
         rhs = pairing(P, tensor_semigroup_apply(A, V, t, rho))
@@ -150,12 +148,12 @@ def test_criterion_04_tensor_duality():
     for _ in range(25):
         n = int(rng.integers(2, 6))
         A = random_matrix(rng, n)
-        rho = Tensor2(coeffs=rng.standard_normal((n, n)))
+        rho = rng.standard_normal((n, n))
         s, t = rng.uniform(0.0, 2.5, size=2)
         once = tensor_semigroup_apply(A, A, s + t, rho)
         twice = tensor_semigroup_apply(A, A, s, tensor_semigroup_apply(A, A, t, rho))
-        scale = max(np.linalg.norm(once.coeffs), 1.0)
-        assert np.linalg.norm(once.coeffs - twice.coeffs) <= 1e-9 * scale
+        scale = max(np.linalg.norm(once), 1.0)
+        assert np.linalg.norm(once - twice) <= 1e-9 * scale
 
 
 @criterion(5, "positivity of the Lyapunov semigroup")
@@ -176,12 +174,12 @@ def test_criterion_05_positivity():
         assert np.linalg.eigvalsh(out)[0] >= -1e-10 * np.linalg.norm(P, 2)
     for _ in range(50):
         n = int(rng.integers(2, 6))
-        rho = Tensor2(coeffs=random_symmetric(rng, n), symmetric=True)
-        plus, minus = positive_negative_split(rho)
-        err = np.linalg.norm(rho.coeffs - (plus.coeffs - minus.coeffs))
-        assert err <= 1e-12 * max(np.linalg.norm(rho.coeffs), 1.0)
-        assert np.linalg.eigvalsh(plus.coeffs)[0] >= -1e-12
-        assert np.linalg.eigvalsh(minus.coeffs)[0] >= -1e-12
+        rho = random_symmetric(rng, n)
+        plus, minus = decompose_pm(ConeSpec.psd(n), rho)
+        err = np.linalg.norm(rho - (plus - minus))
+        assert err <= 1e-12 * max(np.linalg.norm(rho), 1.0)
+        assert np.linalg.eigvalsh(plus)[0] >= -1e-12
+        assert np.linalg.eigvalsh(minus)[0] >= -1e-12
 
 
 def _l1_decomposition_search(R, rng, starts=6):
@@ -225,7 +223,7 @@ def test_criterion_06_projective_norm():
     for n in (2, 3):
         for _ in range(3):
             R = rng.standard_normal((n, n))
-            formula = projective_norm(Tensor2(coeffs=R), 1.0)
+            formula = projective_norm(R, 1.0)
             assert formula == pytest.approx(float(np.abs(R).sum()))
             searched = _l1_decomposition_search(R, rng)
             assert searched >= formula * (1.0 - 1e-6) - 1e-9  # duality floor
@@ -234,7 +232,7 @@ def test_criterion_06_projective_norm():
     ratios = []
     for p in (1.5, 3.0):
         for _ in range(10):
-            rho = Tensor2(coeffs=rng.standard_normal((4, 4)))
+            rho = rng.standard_normal((4, 4))
             result = projective_norm(rho, p)
             assert isinstance(result, NormInterval)
             assert result.lower <= result.upper

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from lyacert.detect import (
     unobservable_subspace,
 )
 from lyacert.exceptions import (
+    DimensionError,
     InternalInconsistencyError,
     NoInjectionExistsError,
     NotObserverError,
@@ -230,6 +234,26 @@ class TestGramian:
             for t0 in (0.25, 0.5, 1.0, 2.0)
         ]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+    def test_long_horizon_overflow_is_numerical_error(self):
+        # W(t0) = (1 - e^{-2 t0})/2 I is finite, but the block e^{-t0 A'} of
+        # the Van Loan exponential overflows at t0 = 1000: a located error,
+        # not an all-NaN Gramian with RuntimeWarnings
+        pair = ObservedPair(A=-np.eye(2), C=np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_allclose(observability_gramian(pair, 400.0),
+                                       0.5 * np.eye(2), rtol=1e-13)
+            with pytest.raises(NumericalError, match="at t0 = 1000"):
+                observability_gramian(pair, 1000.0)
+
+    @pytest.mark.xfail(raises=NumericalError, strict=True,
+                       reason="ROADMAP item 16: the block exponential of "
+                              "gramian_integral overflows at long horizons")
+    def test_long_horizon_true_value(self):
+        pair = ObservedPair(A=-np.eye(2), C=np.eye(2))
+        np.testing.assert_allclose(observability_gramian(pair, 1000.0),
+                                   0.5 * np.eye(2), rtol=1e-13)
 
 
 class TestFinalObservability:
@@ -481,6 +505,16 @@ class TestDuhamel:
             x = rng.standard_normal(4)
             t = rng.uniform(0.1, 3.0)
             assert duhamel_residual(pair, report.F, t, x) <= 1e-10
+
+    def test_inputs_checked_before_the_exponential(self):
+        pair = ObservedPair(A=-np.eye(2), C=np.array([[1.0, 0.0]]))
+        F, x = np.ones((2, 1)), np.ones(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be finite"):
+                duhamel_residual(pair, F, math.inf, x)
+            with pytest.raises(DimensionError, match="F must be 2 x 1"):
+                duhamel_residual(pair, np.ones((3, 1)), 1.0, x)
 
 
 class TestReport:

@@ -11,7 +11,7 @@ import pytest
 import lyacert
 from lyacert.cones import ConeSpec, CongruenceMap, map_preserves_cone
 from lyacert.linalg import induced_norm
-from lyacert.lyapunov import Tensor2, projective_norm
+from lyacert.lyapunov import projective_norm
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(lyacert.__path__))
 
@@ -36,5 +36,5 @@ def test_norms_and_map_test_are_seedless(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", no_rng)
     assert induced_norm(M, 3.0, 1.5).lower > 0
-    assert projective_norm(Tensor2(coeffs=M), 3.0).lower > 0
+    assert projective_norm(M, 3.0).lower > 0
     assert map_preserves_cone(ConeSpec.psd(3), L).preserves

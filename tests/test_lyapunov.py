@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from lyacert.cones import ConeSpec, decompose_pm
 from lyacert.exceptions import (
+    DimensionError,
     DivergenceError,
     InternalInconsistencyError,
     NotPsdError,
@@ -21,7 +23,6 @@ from lyacert.linalg import (
 from lyacert.lyapunov import (
     LyapunovOperator,
     RANK_TOL,
-    Tensor2,
     grothendieck_decompose,
     implemented_apply,
     lyap_apply,
@@ -29,7 +30,6 @@ from lyacert.lyapunov import (
     lyap_solve_integral,
     monomial,
     pairing,
-    positive_negative_split,
     projective_norm,
     rkhs_factor,
     symmetric_project,
@@ -135,13 +135,13 @@ class TestTensorSemigroup:
         t = 0.8
         out = tensor_semigroup_apply(A, V, t, monomial(x, y))
         expected = np.outer(expm(A, t) @ x, expm(V, t) @ y)
-        np.testing.assert_allclose(out.coeffs, expected, atol=1e-12)
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_time_zero(self, rng):
         rho = monomial(rng.standard_normal(3), rng.standard_normal(3))
         out = tensor_semigroup_apply(random_matrix(rng, 3), random_matrix(rng, 3),
                                      0.0, rho)
-        np.testing.assert_allclose(out.coeffs, rho.coeffs)
+        np.testing.assert_allclose(out, rho)
 
     def test_adjoint_to_implemented(self, rng):
         # trace identity oracle: <<T(t)P, rho>> = <<P, T_*(t) rho>>
@@ -149,17 +149,26 @@ class TestTensorSemigroup:
             n = int(rng.integers(2, 6))
             A, V = random_matrix(rng, n), random_matrix(rng, n)
             P = rng.standard_normal((n, n))
-            rho = Tensor2(coeffs=rng.standard_normal((n, n)))
+            rho = rng.standard_normal((n, n))
             t = rng.uniform(0, 3)
             lhs = pairing(implemented_apply(A, V, t, P), rho)
             rhs = pairing(P, tensor_semigroup_apply(A, V, t, rho))
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
 
-    def test_symmetric_flag_preserved_with_equal_generators(self, rng):
-        A = random_matrix(rng, 3)
-        rho = symmetric_project(Tensor2(coeffs=rng.standard_normal((3, 3))))
-        assert tensor_semigroup_apply(A, A, 1.0, rho).symmetric
-        assert not tensor_semigroup_apply(A, random_matrix(rng, 3), 1.0, rho).symmetric
+    def test_symmetric_image_decomposes(self, rng):
+        # T_*(t) = e^{tA} R e^{tA'} keeps a symmetric R symmetric within
+        # rounding, so the Grothendieck decomposition accepts its image
+        for _ in range(10):
+            n = int(rng.integers(2, 6))
+            A = random_matrix(rng, n)
+            R = random_symmetric(rng, n)
+            t = rng.uniform(0, 3)
+            out = tensor_semigroup_apply(A, A, t, R)
+            terms = grothendieck_decompose(out)
+            rebuilt = sum(a * np.outer(u, u) for a, u in terms)
+            assert np.linalg.norm(rebuilt - out) <= 1e-12 * max(
+                np.linalg.norm(out), 1.0
+            )
 
 
 class TestPairing:
@@ -173,14 +182,14 @@ class TestPairing:
 
     def test_bilinear(self, rng):
         P, Q = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
-        rho = Tensor2(coeffs=rng.standard_normal((3, 3)))
-        sig = Tensor2(coeffs=rng.standard_normal((3, 3)))
+        rho = rng.standard_normal((3, 3))
+        sig = rng.standard_normal((3, 3))
         a, b = rng.standard_normal(2)
         lhs = pairing(a * P + b * Q, rho)
         assert abs(lhs - (a * pairing(P, rho) + b * pairing(Q, rho))) <= 1e-12 * max(
             abs(lhs), 1.0
         )
-        combo = Tensor2(coeffs=a * rho.coeffs + b * sig.coeffs)
+        combo = a * rho + b * sig
         lhs2 = pairing(P, combo)
         assert abs(lhs2 - (a * pairing(P, rho) + b * pairing(P, sig))) <= 1e-12 * max(
             abs(lhs2), 1.0
@@ -197,11 +206,11 @@ class TestProjectiveNorm:
             )
 
     def test_l1_entrywise_sum(self):
-        rho = Tensor2(coeffs=np.array([[1.0, -2.0], [0.0, 3.0]]))
+        rho = np.array([[1.0, -2.0], [0.0, 3.0]])
         assert projective_norm(rho, 1.0) == pytest.approx(6.0)
 
     def test_identity_nuclear(self):
-        rho = Tensor2(coeffs=np.eye(3))
+        rho = np.eye(3)
         assert projective_norm(rho) == pytest.approx(3.0)
 
     def test_general_p_interval_brackets_rank_one(self, rng):
@@ -215,15 +224,15 @@ class TestProjectiveNorm:
         assert result.ratio <= 1.0 + 1e-9  # rank-one bounds are tight
 
     def test_general_p_interval_ordered(self, rng):
-        rho = Tensor2(coeffs=rng.standard_normal((4, 4)))
+        rho = rng.standard_normal((4, 4))
         result = projective_norm(rho, 1.5)
         assert 0 < result.lower <= result.upper
 
     def test_general_p_interval_scales_to_1e_minus_200(self):
         # pi(c rho) = c pi(rho): at c = 1e-200 no |x_i|^3 may underflow
         R = np.array([[1.0, 2.0], [3.0, -1.0]])
-        unit = projective_norm(Tensor2(coeffs=R), 3.0)
-        tiny = projective_norm(Tensor2(coeffs=1e-200 * R), 3.0)
+        unit = projective_norm(R, 3.0)
+        tiny = projective_norm(1e-200 * R, 3.0)
         assert tiny.lower > 0
         for a, b in zip(tiny, unit):
             assert a == pytest.approx(1e-200 * b, rel=1e-14)
@@ -232,26 +241,26 @@ class TestProjectiveNorm:
         # <<P, rho>> <= ||P||_{2->2} pi(rho) in the Euclidean pairing
         for _ in range(20):
             P = rng.standard_normal((3, 3))
-            rho = Tensor2(coeffs=rng.standard_normal((3, 3)))
+            rho = rng.standard_normal((3, 3))
             slack = induced_norm(P, 2, 2) * projective_norm(rho) - pairing(P, rho)
             assert slack >= -1e-10
 
 
 class TestSymmetricCalculus:
     def test_project_idempotent(self, rng):
-        rho = Tensor2(coeffs=rng.standard_normal((3, 3)))
+        rho = rng.standard_normal((3, 3))
         once = symmetric_project(rho)
         twice = symmetric_project(once)
-        np.testing.assert_allclose(once.coeffs, twice.coeffs, atol=1e-15)
-        assert once.symmetric
+        np.testing.assert_allclose(once, twice, atol=1e-15)
+        np.testing.assert_array_equal(once, once.T)
 
     def test_project_monomial(self):
         rho = monomial([1.0, 0.0], [0.0, 1.0])
         out = symmetric_project(rho)
-        np.testing.assert_allclose(out.coeffs, [[0.0, 0.5], [0.5, 0.0]])
+        np.testing.assert_allclose(out, [[0.0, 0.5], [0.5, 0.0]])
 
     def test_decompose_diagonal(self):
-        rho = Tensor2(coeffs=np.diag([2.0, -1.0]), symmetric=True)
+        rho = np.diag([2.0, -1.0])
         terms = grothendieck_decompose(rho)
         assert terms[0][0] == pytest.approx(2.0)
         np.testing.assert_allclose(terms[0][1], [1.0, 0.0], atol=1e-14)
@@ -259,25 +268,46 @@ class TestSymmetricCalculus:
         np.testing.assert_allclose(terms[1][1], [0.0, 1.0], atol=1e-14)
 
     def test_psd_has_no_negative_part(self, rng):
-        rho = Tensor2(coeffs=random_psd(rng, 3), symmetric=True)
-        _, minus = positive_negative_split(rho)
-        assert np.linalg.norm(minus.coeffs) <= 1e-12 * np.linalg.norm(rho.coeffs)
+        rho = random_psd(rng, 3)
+        _, minus = decompose_pm(ConeSpec.psd(3), rho)
+        assert np.linalg.norm(minus) <= 1e-12 * np.linalg.norm(rho)
 
     def test_reconstruction(self, rng):
         for _ in range(10):
-            rho = Tensor2(coeffs=random_symmetric(rng, 4), symmetric=True)
-            plus, minus = positive_negative_split(rho)
-            err = np.linalg.norm(rho.coeffs - (plus.coeffs - minus.coeffs))
-            assert err <= 1e-12 * max(np.linalg.norm(rho.coeffs), 1.0)
-            assert np.linalg.eigvalsh(plus.coeffs)[0] >= -1e-12
-            assert np.linalg.eigvalsh(minus.coeffs)[0] >= -1e-12
+            rho = random_symmetric(rng, 4)
+            plus, minus = decompose_pm(ConeSpec.psd(4), rho)
+            err = np.linalg.norm(rho - (plus - minus))
+            assert err <= 1e-12 * max(np.linalg.norm(rho), 1.0)
+            assert np.linalg.eigvalsh(plus)[0] >= -1e-12
+            assert np.linalg.eigvalsh(minus)[0] >= -1e-12
 
     def test_asymmetric_rejected(self, rng):
-        # the flag decides, not the grid: an unflagged identity is rejected too
-        for rho in (Tensor2(coeffs=rng.standard_normal((3, 3))), Tensor2(np.eye(3))):
-            for split in (grothendieck_decompose, positive_negative_split):
-                with pytest.raises(ValueError):
-                    split(rho)
+        rho = rng.standard_normal((3, 3))
+        for split in (grothendieck_decompose,
+                      lambda R: decompose_pm(ConeSpec.psd(3), R)):
+            with pytest.raises(ValueError):
+                split(rho)
+
+    def test_symmetric_grid_accepted(self):
+        # the grid decides: an exactly symmetric grid needs no flag
+        terms = grothendieck_decompose(np.eye(3))
+        assert [a for a, _ in terms] == [1.0, 1.0, 1.0]
+        plus, minus = decompose_pm(ConeSpec.psd(3), np.eye(3))
+        np.testing.assert_array_equal(plus, np.eye(3))
+        np.testing.assert_array_equal(minus, np.zeros((3, 3)))
+
+    def test_decompose_reconstructs(self, rng):
+        # R = sum_i a_i u_i u_i' with orthonormal u_i, a_i descending
+        for _ in range(10):
+            n = int(rng.integers(2, 7))
+            R = random_symmetric(rng, n)
+            terms = grothendieck_decompose(R)
+            lam = [a for a, _ in terms]
+            U = np.column_stack([u for _, u in terms])
+            assert lam == sorted(lam, reverse=True)
+            np.testing.assert_allclose(U.T @ U, np.eye(n), atol=1e-12)
+            rebuilt = sum(a * np.outer(u, u) for a, u in terms)
+            assert np.linalg.norm(rebuilt - R) <= 1e-12 * max(np.linalg.norm(R), 1.0)
 
 
 class TestRkhsFactor:
@@ -496,11 +526,20 @@ class TestTensorValidation:
     def test_exponent_below_one_rejected(self):
         for p in (0.5, math.nan):
             with pytest.raises(ValueError, match="p >= 1"):
-                projective_norm(Tensor2(coeffs=np.eye(2)), p)
+                projective_norm(np.eye(2), p)
 
-    def test_symmetric_flag_on_asymmetric_grid_rejected(self):
-        with pytest.raises(ValueError):
-            Tensor2(coeffs=np.array([[0.0, 1.0], [0.0, 0.0]]), symmetric=True)
+    @pytest.mark.parametrize("op", [
+        lambda R: pairing(np.eye(2), R),
+        symmetric_project,
+        lambda R: tensor_semigroup_apply(-np.eye(2), -np.eye(2), 1.0, R),
+        projective_norm,
+    ], ids=["pairing", "symmetric_project", "tensor_semigroup_apply",
+            "projective_norm"])
+    def test_grid_validated(self, op):
+        with pytest.raises(DimensionError, match="must be square"):
+            op(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="non-finite"):
+            op(np.array([[1.0, math.nan], [0.0, 1.0]]))
 
 
 class TestPositivityInvariants:
@@ -518,10 +557,10 @@ class TestPositivityInvariants:
 
     def test_tensor_semigroup_law(self, rng):
         A = random_matrix(rng, 3)
-        rho = Tensor2(coeffs=rng.standard_normal((3, 3)))
+        rho = rng.standard_normal((3, 3))
         s, t = 1.1, 0.6
         once = tensor_semigroup_apply(A, A, s + t, rho)
         twice = tensor_semigroup_apply(A, A, s, tensor_semigroup_apply(A, A, t, rho))
-        assert np.linalg.norm(once.coeffs - twice.coeffs) <= 1e-9 * max(
-            np.linalg.norm(once.coeffs), 1.0
+        assert np.linalg.norm(once - twice) <= 1e-9 * max(
+            np.linalg.norm(once), 1.0
         )

@@ -394,10 +394,11 @@ class TestPositivityAndConsistency:
     def test_stability_report_fields(self, rng):
         probe = SemigroupProbe(A=stable_metzler(rng, 3), cone=ConeSpec.orthant(3))
         report = stability_report(probe)
-        assert report.exponential and report.weak_L1_on_cone and report.L1_pi
+        assert report.exponential and report.weak_L1_on_cone
+        assert not hasattr(report, "L1_pi")
         assert report.growth is not None and report.growth.M >= 1.0
         d = report.to_dict()
-        assert set(d) == {"exponential", "growth", "weak_L1_on_cone", "L1_pi"}
+        assert set(d) == {"exponential", "growth", "weak_L1_on_cone"}
 
     def test_report_inconsistency_raises(self):
         from lyacert.semigroup import StabilityReport
@@ -405,7 +406,13 @@ class TestPositivityAndConsistency:
         with pytest.raises(InternalInconsistencyError):
             StabilityReport(
                 exponential=True, growth=None, weak_L1_on_cone=False,
-                weak_L1_witness=None, L1_pi=True,
+                weak_L1_witness=None,
+            )
+        # L1 pi-stability is exponential stability: no field can contradict it
+        with pytest.raises(TypeError):
+            StabilityReport(
+                exponential=True, growth=None, weak_L1_on_cone=True,
+                weak_L1_witness=None, L1_pi=False,
             )
 
     def test_integral_exp_monotone_on_cone(self, rng):
