@@ -7,7 +7,7 @@ units, implemented/tensor-product semigroups with projective duality, and
 detectability/observability tests.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .exceptions import (  # noqa: F401
     DimensionError,

@@ -7,7 +7,9 @@ A (linalg.SchurForm) serves the whole certificate: the Hautus test reads
 its eigenvalues, the direct solve and the growth envelope solve through it,
 and its spectral abscissa is recorded purely as a cross-check; a verdict
 inconsistent with that abscissa raises instead of emitting a silent
-certificate.
+certificate.  Every gate is a program constant beside the check that
+applies it (lyapunov.RESIDUAL_RTOL, linalg.PSD_RTOL, linalg.ABSCISSA_TOL,
+CROSS_CHECK_RTOL), never a field of the problem.
 """
 
 import csv
@@ -15,7 +17,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -31,6 +33,7 @@ from .exceptions import (
 )
 from .linalg import (
     ABSCISSA_TOL,
+    PSD_RTOL,
     GrowthBound,
     as_matrix,
     as_square,
@@ -58,6 +61,7 @@ __all__ = [
     "problem_from_dict",
     "canonical_json",
     "input_digest",
+    "direct_solution",
     "wonham_certify",
     "run_gallery",
     "emit_decay_csv",
@@ -70,12 +74,9 @@ VERDICT_INCONCLUSIVE = "Inconclusive"
 #: version of the certificate's key layout, written as its "schema" key
 CERTIFICATE_SCHEMA = 1
 
-DEFAULT_TOLERANCES = {
-    "residual": 1e-8,   # relative residual bound for the Lyapunov solve
-    "psd": 1e-9,        # relative lambda_min slack for calling P positive
-    "abscissa": ABSCISSA_TOL,  # stability threshold on the spectral cross-check
-    "cross_check": 1e-6,  # direct vs integral solver agreement
-}
+#: largest relative Frobenius gap ||P_int - P|| / max(||P||, 1) between the
+#: integral solver and the direct solution of a stable certificate
+CROSS_CHECK_RTOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -98,14 +99,13 @@ def _check_positive_number(value, location):
 class ProblemSpec:
     """One certification problem: generator A plus either an output map C
     or a PSD right-hand side Q = C'C, which must be finite either way.
-    t0, when given, and every tolerance must be finite and positive;
-    tolerance keys are those of DEFAULT_TOLERANCES."""
+    t0, when given, must be finite and positive.  Nothing else is an
+    input: the gates a certificate is held to are program constants."""
 
     A: np.ndarray
     C: Optional[np.ndarray] = None
     Q: Optional[np.ndarray] = None
     t0: Optional[float] = None
-    tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
         A = as_square(self.A, "A")
@@ -135,18 +135,6 @@ class ProblemSpec:
         if self.t0 is not None:
             _check_positive_number(self.t0, "t0")
             object.__setattr__(self, "t0", float(self.t0))
-        if not isinstance(self.tolerances, dict):
-            raise ProblemFormatError("must be an object", location="tolerances")
-        for key, value in self.tolerances.items():
-            if key not in DEFAULT_TOLERANCES:
-                raise ProblemFormatError(
-                    f"unknown tolerance, expected one of {sorted(DEFAULT_TOLERANCES)}",
-                    location=f"tolerances.{key}",
-                )
-            _check_positive_number(value, f"tolerances.{key}")
-        tols = dict(DEFAULT_TOLERANCES)
-        tols.update(self.tolerances)
-        object.__setattr__(self, "tolerances", tols)
 
     @property
     def n(self):
@@ -159,10 +147,7 @@ class ProblemSpec:
         return ObservedPair(A=self.A, C=output_map(self.C, self.Q))
 
     def to_dict(self):
-        d = {
-            "A": self.A.tolist(),
-            "tolerances": dict(sorted(self.tolerances.items())),
-        }
+        d = {"A": self.A.tolist()}
         if self.C is not None:
             d["C"] = self.C.tolist()
         if self.Q is not None:
@@ -181,7 +166,7 @@ def problem_from_dict(d):
         raise ProblemFormatError("problem must be a JSON object")
     if "A" not in d:
         raise ProblemFormatError("missing required field", location="A")
-    known = {"A", "C", "Q", "t0", "tolerances"}
+    known = {"A", "C", "Q", "t0"}
     unknown = set(d) - known
     if unknown:
         raise ProblemFormatError(
@@ -193,7 +178,6 @@ def problem_from_dict(d):
             C=None if d.get("C") is None else np.asarray(d["C"], dtype=float),
             Q=None if d.get("Q") is None else np.asarray(d["Q"], dtype=float),
             t0=d.get("t0"),
-            tolerances=d.get("tolerances", {}),
         )
     except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ProblemFormatError):
@@ -227,6 +211,11 @@ def input_digest(spec):
 
 @dataclass(frozen=True)
 class Certificate:
+    """A verdict with its evidence.  Construction refuses a stable verdict
+    without a solution or with a failed detector hypothesis, and a verdict
+    that contradicts the recorded spectral abscissa: stable needs it below
+    0, unstable at or above -ABSCISSA_TOL."""
+
     verdict: str
     P: Optional[np.ndarray]
     residual: Optional[float]
@@ -248,6 +237,13 @@ class Certificate:
                 raise InternalInconsistencyError(
                     "stable verdict with failed detector hypothesis"
                 )
+        a = self.cross_check_abscissa
+        if (self.verdict == VERDICT_STABLE and not a < 0.0) or \
+                (self.verdict == VERDICT_UNSTABLE and not a >= -ABSCISSA_TOL):
+            raise InternalInconsistencyError(
+                "verdict contradicts the spectral cross-check",
+                diagnostics={"verdict": self.verdict, "abscissa": a},
+            )
 
     def to_dict(self):
         """Schema 1: each fact once.  ``detectability`` carries only the L2
@@ -285,6 +281,13 @@ def output_map(C, Q):
     return C
 
 
+def direct_solution(pair):
+    """The solution a certificate carries and its Frobenius residual
+    ||A'P + PA + Q||: lyap_solve_direct on the pair's Schur form."""
+    P = lyap_solve_direct(pair.schur, pair.Q)
+    return P, float(np.linalg.norm(lyap_apply(pair.A, P) + pair.Q))
+
+
 def wonham_certify(spec):
     """Certify exponential stability from a detectable Lyapunov problem.
 
@@ -296,9 +299,7 @@ def wonham_certify(spec):
     recorded spectral abscissa share the pair's one Schur form; any verdict
     inconsistent with that abscissa raises.
     """
-    tols = spec.tolerances
     pair = spec.pair
-    A, Q = pair.A, pair.Q
     report = detectability_report(pair, t0=spec.t0)
     form = pair.schur
     abscissa = form.abscissa
@@ -306,7 +307,7 @@ def wonham_certify(spec):
 
     def finish(verdict, P=None, residual=None, growth=None, method="lyapunov",
                reason=None):
-        cert = Certificate(
+        return Certificate(
             verdict=verdict,
             P=P,
             residual=residual,
@@ -318,14 +319,12 @@ def wonham_certify(spec):
             tool_version=__version__,
             input_digest=digest,
         )
-        _check_abscissa_consistency(cert, tols)
-        return cert
 
     if not report.l2:
         return finish(VERDICT_INCONCLUSIVE, reason="detector hypothesis fails")
 
     try:
-        P = lyap_solve_direct(form, Q, residual_rtol=tols["residual"])
+        P, residual = direct_solution(pair)
     except ResonantSpectrumError as exc:
         # resonance forces abscissa >= 0: never exponentially stable
         return finish(
@@ -334,13 +333,12 @@ def wonham_certify(spec):
             reason=f"resonant spectrum: {exc.pair}",
         )
 
-    residual = float(np.linalg.norm(lyap_apply(A, P) + Q))
     lam = np.linalg.eigvalsh(P)
-    if spectrum_is_psd(lam, tols["psd"]):
+    if spectrum_is_psd(lam, PSD_RTOL):
         growth = growth_fit(form)
-        P_int = lyap_solve_integral(A, Q)
+        P_int = lyap_solve_integral(pair.A, pair.Q)
         gap = np.linalg.norm(P_int - P) / max(np.linalg.norm(P), 1.0)
-        if gap > tols["cross_check"]:
+        if gap > CROSS_CHECK_RTOL:
             raise InternalInconsistencyError(
                 "integral solver disagrees with the direct solution",
                 diagnostics={"gap": float(gap)},
@@ -352,20 +350,6 @@ def wonham_certify(spec):
         residual=residual,
         reason=f"solution indefinite: lambda_min = {lam[0]:.6e}",
     )
-
-
-def _check_abscissa_consistency(cert, tols):
-    a = cert.cross_check_abscissa
-    ok = {
-        VERDICT_STABLE: a < 0.0,
-        VERDICT_UNSTABLE: a >= -tols["abscissa"],
-        VERDICT_INCONCLUSIVE: True,
-    }[cert.verdict]
-    if not ok:
-        raise InternalInconsistencyError(
-            "verdict contradicts the spectral cross-check",
-            diagnostics={"verdict": cert.verdict, "abscissa": a},
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from .certify import (
     VERDICT_STABLE,
     VERDICT_UNSTABLE,
     canonical_json,
+    direct_solution,
     emit_decay_csv,
     parse_problem,
     run_gallery,
@@ -24,7 +25,6 @@ from .certify import (
 )
 from .detect import detectability_report, final_observability
 from .exceptions import LyacertError, ProblemFormatError
-from .lyapunov import lyap_apply, lyap_solve_direct
 from .linalg import NormInterval, induced_norm, nuclear_norm
 from .semigroup import SemigroupProbe, lemma_AS_suite
 
@@ -137,12 +137,9 @@ def _certify_batch(in_dir, out_dir, workers):
 
 
 def cmd_solve(args):
-    """The solution and residual a certificate carries: lyap_solve_direct on
-    the pair's Schur form, held to the problem's residual tolerance."""
-    spec = _load_problem(args.input)
-    pair = spec.pair
-    P = lyap_solve_direct(pair.schur, pair.Q, residual_rtol=spec.tolerances["residual"])
-    residual = float(np.linalg.norm(lyap_apply(pair.A, P) + pair.Q))
+    """The solution and residual a certificate carries, from the same
+    certify.direct_solution, held to lyapunov.RESIDUAL_RTOL."""
+    P, residual = direct_solution(_load_problem(args.input).pair)
     _emit({"P": P.tolist(), "residual": residual}, args.out)
     return 0
 

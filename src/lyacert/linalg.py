@@ -50,6 +50,9 @@ __all__ = [
 DECAY_TOL = 1e-9
 #: exponential stability means a spectral abscissa below -ABSCISSA_TOL
 ABSCISSA_TOL = 1e-10
+#: the slack for calling a solution P or a right-hand side Q PSD:
+#: lambda_min >= -PSD_RTOL * max |lambda| (spectrum_is_psd)
+PSD_RTOL = 1e-9
 #: steps of the p-norm power iteration behind an induced-norm lower bound
 POWER_STEPS = 5
 #: up to this many columns an (inf, p) norm is the exact vertex maximum; a
@@ -121,12 +124,14 @@ def as_vector(x, dim=None, name="vector"):
 
 
 def check_symmetric(a, name="matrix"):
-    """Validate symmetry within 1e-12 * scale and return the symmetrized matrix.
+    """Validate symmetry within 1e-12 * max |m_ij| and return the
+    symmetrized matrix.
 
-    Exactly symmetric entries are kept bit for bit; the others are averaged
-    as 0.5 m + 0.5 m', which cannot overflow."""
+    The bound is relative at every scale, so a tiny grid is held to the
+    same test as a unit one.  Exactly symmetric entries are kept bit for
+    bit; the others are averaged as 0.5 m + 0.5 m', which cannot overflow."""
     m = as_square(a, name)
-    scale = max(np.abs(m).max(), 1.0)
+    scale = np.abs(m).max()
     defect = np.abs(m - m.T).max()
     if defect > 1e-12 * scale:
         raise ValueError(

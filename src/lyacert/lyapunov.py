@@ -28,6 +28,7 @@ from .exceptions import (
     ResonantSpectrumError,
 )
 from .linalg import (
+    PSD_RTOL,
     NormInterval,
     SchurForm,
     _duality_vec,
@@ -68,6 +69,9 @@ __all__ = [
 RESONANCE_TOL = 1e-10
 #: rkhs_factor keeps the eigenpairs of Q with lambda >= RANK_TOL * lambda_max
 RANK_TOL = 1e-12
+#: lyap_solve_direct's backward-error gate: the Frobenius residual
+#: ||A'P + PA + Q|| may be at most RESIDUAL_RTOL (2 ||A|| ||P|| + ||Q||)
+RESIDUAL_RTOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +278,12 @@ def rkhs_factor(Q):
     Rows of C span the reproducing-kernel coordinates of Q; eigenpairs
     with lambda < RANK_TOL * lambda_max are truncated, so C has
     numerical-rank-many rows and ||C'C - Q|| <= n * RANK_TOL * lambda_max.
-    Q counts as PSD down to lambda_min >= -1e-9 * max |lambda|.
+    Q counts as PSD down to lambda_min >= -PSD_RTOL * max |lambda|.
     """
     Q = check_symmetric(Q, "Q")
     lam, U = np.linalg.eigh(Q)
     lam_max = float(lam[-1])
-    if not spectrum_is_psd(lam, 1e-9):
+    if not spectrum_is_psd(lam, PSD_RTOL):
         raise NotPsdError(
             f"Q is not PSD: lambda_min = {lam[0]:.3e}"
         )
@@ -302,14 +306,14 @@ def _check_nonresonant(w):
         )
 
 
-def lyap_solve_direct(A, Q, residual_rtol=1e-8):
+def lyap_solve_direct(A, Q):
     """Solve A'P + PA = -Q by Bartels-Stewart on the real Schur form of A'.
 
     ``A`` is the generator or its linalg.SchurForm; a caller that holds the
     form passes it, and the form is built here otherwise.  The Schur solve
     is followed by one refinement step on its residual, through the same
-    form; P passes the backward-error gate
-    ||A'P + PA + Q|| <= residual_rtol (2 ||A|| ||P|| + ||Q||) (Frobenius).
+    form; P passes the fixed backward-error gate
+    ||A'P + PA + Q|| <= RESIDUAL_RTOL (2 ||A|| ||P|| + ||Q||) (Frobenius).
     Raises ResonantSpectrumError when some eigenvalue pair of A sums to
     zero, carrying the offending pair, and NumericalError when P is not
     finite.
@@ -331,7 +335,7 @@ def lyap_solve_direct(A, Q, residual_rtol=1e-8):
     # rounding alone leaves a residual of about eps ||A|| ||P||
     residual = np.linalg.norm(A.T @ P + P @ A + Q)
     scale = 2.0 * np.linalg.norm(A) * np.linalg.norm(P) + np.linalg.norm(Q)
-    if residual > residual_rtol * scale:
+    if residual > RESIDUAL_RTOL * scale:
         raise InternalInconsistencyError(
             "Lyapunov solve residual too large",
             diagnostics={"residual": residual, "scale": scale},
@@ -356,7 +360,7 @@ def lyap_solve_integral(A, Q):
     A = as_square(A, "A")
     Q = check_symmetric(Q, "Q")
     lam_q = np.linalg.eigvalsh(Q)
-    if not spectrum_is_psd(lam_q, 1e-9):
+    if not spectrum_is_psd(lam_q, PSD_RTOL):
         raise NotPsdError(f"Q is not PSD: lambda_min = {lam_q[0]:.3e}")
     step = 1.0 / (1.0 + float(np.linalg.norm(A, 1)))
     P = np.zeros_like(Q)

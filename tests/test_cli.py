@@ -178,6 +178,9 @@ class TestCertifyCommand:
         ("p", 2.0),
         ("cone", {"cone": "psd", "dim": 1}),
         ("seed", 42),
+        # the gates are program constants; at 0.9.0 these values turned a
+        # stable pair into an Unstable verdict
+        ("tolerances", {"psd": 1e-300, "abscissa": 10.0}),
     ])
     def test_removed_field_exit_one(self, tmp_path, capsys, field, value):
         path = tmp_path / "old.json"
@@ -189,17 +192,10 @@ class TestCertifyCommand:
         ("t0", -1, "t0"),
         ("t0", 0, "t0"),
         ("t0", float("nan"), "t0"),
-        ("tolerances", {"residual": "x"}, "tolerances.residual"),
-        ("tolerances", {"residual": float("nan")}, "tolerances.residual"),
-        ("tolerances", {"psd": -1e-9}, "tolerances.psd"),
-        ("tolerances", {"residul": 1e-8}, "tolerances.residul"),
-        ("tolerances", [["residual", 1e-8]], "tolerances"),
         ("t0", "1.5", "t0"),
         ("t0", True, "t0"),
         ("t0", "x", "t0"),
         pytest.param("t0", 10**400, "t0", id="t0-beyond-float"),
-        pytest.param("tolerances", {"psd": 10**400}, "tolerances.psd",
-                     id="tolerance-beyond-float"),
         pytest.param("C", [[1e200]], "C", id="gramian-beyond-float"),
     ])
     def test_bad_t0_or_tolerance_exit_one(self, tmp_path, capsys, field, value,
@@ -232,13 +228,13 @@ class TestSolveCommand:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
-    def test_direct_honours_residual_tolerance(self, tmp_path, capsys):
-        # the tolerance certify holds the solve to; no solve reaches 1e-30
-        path = tmp_path / "tight.json"
+    def test_direct_honours_residual_tolerance(self, tmp_path, capsys,
+                                               perturbed_trsyl):
+        # certify and solve are held to the one lyapunov.RESIDUAL_RTOL
+        path = tmp_path / "stable.json"
         path.write_text(json.dumps({
             "A": [[0.0, 1.0], [-2.0, -3.0]],
             "C": [[1.0, 0.0]],
-            "tolerances": {"residual": 1e-30},
         }))
         assert main(["certify", "--input", str(path)]) == 1
         assert capsys.readouterr().err == "error: Lyapunov solve residual too large\n"

@@ -495,8 +495,10 @@ class TestValidation:
     def test_check_symmetric_rejects_asymmetric(self):
         from lyacert.linalg import check_symmetric
 
-        with pytest.raises(ValueError, match="not symmetric"):
-            check_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # the defect is weighed against the matrix's own scale, at any scale
+        for scale in (1.0, 1e-13):
+            with pytest.raises(ValueError, match="not symmetric"):
+                check_symmetric(scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestSymCoordinates:

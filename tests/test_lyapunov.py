@@ -288,6 +288,14 @@ class TestSymmetricCalculus:
             with pytest.raises(ValueError):
                 split(rho)
 
+    def test_tiny_asymmetric_grid_rejected(self):
+        # the symmetry test is relative to the grid's own scale: a 1e-13
+        # grid is refused, not silently symmetrised
+        with pytest.raises(ValueError, match="not symmetric"):
+            grothendieck_decompose(1e-13 * np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert [a for a, _ in grothendieck_decompose(np.zeros((2, 2)))] == [0.0, 0.0]
+        assert [a for a, _ in grothendieck_decompose(1e-13 * np.eye(2))] == [1e-13, 1e-13]
+
     def test_symmetric_grid_accepted(self):
         # the grid decides: an exactly symmetric grid needs no flag
         terms = grothendieck_decompose(np.eye(3))
@@ -397,25 +405,7 @@ class TestDirectSolver:
                 assert lam[0] >= -1e-9 * lam[-1]
                 assert lam[-1] > 0.0
 
-    def test_backward_error_gate_rejects_perturbed_solution(self, monkeypatch):
-        # both Schur steps return 1.01 Y, which leaves P = 0.9999 P_true:
-        # relative backward error about 3e-5, far above the 1e-8 gate; the
-        # Schur form's gees passes through unchanged
-        import scipy.linalg
-
-        get_lapack_funcs = scipy.linalg.get_lapack_funcs
-
-        def perturbed(names, arrays):
-            trsyl = get_lapack_funcs(names, arrays)
-            if names != "trsyl":
-                return trsyl
-
-            def scaled(*args, **kwargs):
-                Y, factor, info = trsyl(*args, **kwargs)
-                return 1.01 * Y, factor, info
-            return scaled
-
-        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", perturbed)
+    def test_backward_error_gate_rejects_perturbed_solution(self, perturbed_trsyl):
         with pytest.raises(InternalInconsistencyError, match="residual too large"):
             lyap_solve_direct(np.array([[-1.0, 1.0], [0.0, -2.0]]), np.eye(2))
 
