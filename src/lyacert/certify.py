@@ -42,6 +42,7 @@ from .linalg import (
     growth_fit,
     spectral_abscissa,  # noqa: F401 (kept importable from this module)
     spectrum_is_psd,
+    vector_norm,
 )
 from .lyapunov import (
     lyap_apply,
@@ -285,7 +286,7 @@ def direct_solution(pair):
     """The solution a certificate carries and its Frobenius residual
     ||A'P + PA + Q||: lyap_solve_direct on the pair's Schur form."""
     P = lyap_solve_direct(pair.schur, pair.Q)
-    return P, float(np.linalg.norm(lyap_apply(pair.A, P) + pair.Q))
+    return P, vector_norm(lyap_apply(pair.A, P) + pair.Q, 2)
 
 
 def wonham_certify(spec):
@@ -337,11 +338,11 @@ def wonham_certify(spec):
     if spectrum_is_psd(lam, PSD_RTOL):
         growth = growth_fit(form)
         P_int = lyap_solve_integral(pair.A, pair.Q)
-        gap = np.linalg.norm(P_int - P) / max(np.linalg.norm(P), 1.0)
+        gap = vector_norm(P_int - P, 2) / max(vector_norm(P, 2), 1.0)
         if gap > CROSS_CHECK_RTOL:
             raise InternalInconsistencyError(
                 "integral solver disagrees with the direct solution",
-                diagnostics={"gap": float(gap)},
+                diagnostics={"gap": gap},
             )
         return finish(VERDICT_STABLE, P=P, residual=residual, growth=growth)
     return finish(
@@ -432,7 +433,7 @@ def emit_decay_csv(spec, horizon, steps, out):
         writer = csv.writer(fh)
         writer.writerow(["t", "state_norm", "paired_QTt"])
         for t in np.linspace(0.0, float(horizon), steps + 1):
-            norm, paired = float(np.linalg.norm(v)), float(v @ pair.Q @ v)
+            norm, paired = vector_norm(v, 2), float(v @ pair.Q @ v)
             if not (math.isfinite(norm) and math.isfinite(paired)):
                 raise NumericalError(
                     f"decay probe: state or Q-form is not finite at t = {t:.17g}"

@@ -19,6 +19,7 @@ from .exceptions import (
     UnsupportedConeOperation,
 )
 from .linalg import (
+    _lp_norms,
     as_matrix,
     as_square,
     as_vector,
@@ -28,6 +29,7 @@ from .linalg import (
     sym_index,
     sym_to_vec,
     vec_to_sym,
+    vector_norm,
 )
 
 __all__ = [
@@ -82,7 +84,7 @@ class ConeSpec:
         G = as_matrix(generators, "generators")
         if G.shape[1] < 1:
             raise ValueError("need at least one generator")
-        norms = np.linalg.norm(G, axis=0)
+        norms = _lp_norms(G, 2.0)
         if np.any(norms <= 0):
             raise ValueError("zero generator")
         # properness: the cone must not contain a line, i.e. no -g_j may be
@@ -122,7 +124,7 @@ def _element(cone, x):
 
 
 def _scaled_tol(x):
-    return MEMBERSHIP_TOL * max(1.0, float(np.linalg.norm(np.ravel(x))))
+    return MEMBERSHIP_TOL * max(1.0, vector_norm(x, 2))
 
 
 def cone_contains(cone, x):
@@ -151,7 +153,7 @@ def dual_cone_contains(cone, phi):
         return cone_contains(cone, phi)
     phi = as_vector(phi, cone.dim, "functional")
     G = cone.generators
-    return bool(np.all(phi @ G >= -MEMBERSHIP_TOL * np.linalg.norm(G, axis=0)))
+    return bool(np.all(phi @ G >= -MEMBERSHIP_TOL * _lp_norms(G, 2.0)))
 
 
 def decompose_pm(cone, phi):
@@ -191,7 +193,7 @@ def is_order_unit(cone, e):
         return bool(np.min(e) >= ORDER_UNIT_TOL)
     if cone.kind == PSD:
         return float(np.linalg.eigvalsh(e)[0]) >= ORDER_UNIT_TOL
-    r = ORDER_UNIT_TOL * max(1.0, float(np.linalg.norm(e)))
+    r = ORDER_UNIT_TOL * max(1.0, vector_norm(e, 2))
     steps = np.vstack([r * np.eye(cone.dim), -r * np.eye(cone.dim)])
     return all(cone_contains(cone, e + d) for d in steps)
 
@@ -228,14 +230,14 @@ def order_unit_norm(cone, e, x):
                 "e is not an order unit of the cone: a generator coordinate "
                 f"of e is {float(coords[:, 1].min()):.3e}")
         return float(np.max(np.abs(coords[:, 0]) / coords[:, 1]))
-    if float(np.linalg.norm(x)) == 0.0:
+    if not x.any():
         return 0.0
 
     def fits(lam):
         return cone_contains(cone, lam * e - x) and cone_contains(cone, lam * e + x)
 
     # is_order_unit put the l_1 ball of radius r around e in the cone
-    r = ORDER_UNIT_TOL * max(1.0, float(np.linalg.norm(e)))
+    r = ORDER_UNIT_TOL * max(1.0, vector_norm(e, 2))
     hi, bound = 1.0, float(np.abs(x).sum()) / r  # every lambda >= bound fits
     while not fits(hi):
         if hi >= bound:
@@ -321,7 +323,7 @@ def map_preserves_cone(cone, map_):
     cols = M.T.copy()
     pair, off = cols[i] + cols[j], np.sqrt(2.0) * cols[n:]
     images = np.vstack([cols[:n], pair + off, pair - off])
-    slack = MEMBERSHIP_TOL * np.maximum(1.0, np.linalg.norm(images, axis=1))
+    slack = MEMBERSHIP_TOL * np.maximum(1.0, _lp_norms(images, 2.0, axis=1))
     images[:, :n] += slack[:, None]
     images[:, n:] *= 1.0 / np.sqrt(2.0)
     for v, Y in zip(V, images[:, sym_index(n)]):  # Y.T: Fortran order, no copy

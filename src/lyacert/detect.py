@@ -32,8 +32,11 @@ from .linalg import (
     check_time,
     expm,
     gramian_integral,
+    induced_norm,
+    relative_gap,
     schur_form,
     spectral_abscissa,
+    vector_norm,
 )
 from .lyapunov import lyap_solve_direct
 
@@ -102,7 +105,7 @@ def hautus_detectable(pair):
     A, C = pair.A, pair.C
     n = pair.n
     w = pair.schur.w[pair.schur.w.real >= -DECAY_TOL]
-    scale = max(float(np.linalg.norm(A, 2)), 1.0) if w.size else 1.0
+    scale = max(induced_norm(A, 2, 2), 1.0) if w.size else 1.0
     for lam in w:
         stacked = np.vstack([A - lam * np.eye(n), C.astype(complex)])
         smin = float(np.linalg.svd(stacked, compute_uv=False)[-1])
@@ -144,8 +147,8 @@ def unobservable_subspace(pair):
         rank = int(np.sum(sig > rtol * smax))
         basis = Vt[rank:].T
     if basis.shape[1]:
-        resid = np.linalg.norm(A @ basis - basis @ (basis.T @ A @ basis))
-        if resid > 1e-8 * max(float(np.linalg.norm(A)), 1.0):
+        resid = vector_norm(A @ basis - basis @ (basis.T @ A @ basis), 2)
+        if resid > 1e-8 * max(vector_norm(A, 2), 1.0):
             raise InternalInconsistencyError(
                 "unobservable subspace is not A-invariant",
                 diagnostics={"residual": resid},
@@ -191,7 +194,7 @@ def stabilizing_output_injection(pair):
     n, m = pair.n, pair.m
     if not hautus_detectable(pair):
         raise NoInjectionExistsError("pair is not detectable")
-    if float(np.linalg.norm(C)) == 0.0:
+    if not C.any():
         # detectable with zero output means A is already stable
         F = np.zeros((n, m))
     else:
@@ -275,7 +278,7 @@ def final_observability(pair, t0):
     that test fails itself (a Krylov misrank or overflow), the pair is
     reported as not observable."""
     lam = _reversed_gramian_spectrum(pair, t0)
-    norm = float(np.linalg.norm(pair.A, 2))
+    norm = induced_norm(pair.A, 2, 2)
     observable = _resolved(lam, pair.n) or (
         norm * t0 > 1.0
         and _resolved(_reversed_gramian_spectrum(pair, 1.0 / norm), pair.n)
@@ -326,9 +329,9 @@ def pi_detector_check(target):
         w, V = np.linalg.eig(restricted)
         k = int(np.argmax(w.real))
         v = (basis @ V[:, k]).real
-        if np.linalg.norm(v) < 1e-12:
+        if vector_norm(v, 2) < 1e-12:
             v = (basis @ V[:, k]).imag
-        witness = v / np.linalg.norm(v)
+        witness = v / vector_norm(v, 2)
     return PiDetectorResult(is_detector=decision, witness=witness)
 
 
@@ -416,8 +419,7 @@ def duhamel_residual(pair, F, t, x):
     E = scipy.linalg.expm(t * M)
     lhs = expm(A, t) @ x
     rhs = expm(Acl, t) @ x + E[:n, n:] @ x
-    scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)
-    return float(np.linalg.norm(lhs - rhs) / scale)
+    return relative_gap(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

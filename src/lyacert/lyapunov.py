@@ -41,6 +41,7 @@ from .linalg import (
     dual_exponent,
     expm,
     gramian_doubling,
+    induced_norm,
     nuclear_norm,
     schur_form,
     spectral_abscissa,  # noqa: F401 (kept importable from this module)
@@ -333,8 +334,8 @@ def lyap_solve_direct(A, Q):
     if not np.all(np.isfinite(P)):
         raise NumericalError("Lyapunov solve: P is not finite")
     # rounding alone leaves a residual of about eps ||A|| ||P||
-    residual = np.linalg.norm(A.T @ P + P @ A + Q)
-    scale = 2.0 * np.linalg.norm(A) * np.linalg.norm(P) + np.linalg.norm(Q)
+    residual = vector_norm(A.T @ P + P @ A + Q, 2)
+    scale = 2.0 * vector_norm(A, 2) * vector_norm(P, 2) + vector_norm(Q, 2)
     if residual > RESIDUAL_RTOL * scale:
         raise InternalInconsistencyError(
             "Lyapunov solve residual too large",
@@ -362,12 +363,12 @@ def lyap_solve_integral(A, Q):
     lam_q = np.linalg.eigvalsh(Q)
     if not spectrum_is_psd(lam_q, PSD_RTOL):
         raise NotPsdError(f"Q is not PSD: lambda_min = {lam_q[0]:.3e}")
-    step = 1.0 / (1.0 + float(np.linalg.norm(A, 1)))
+    step = 1.0 / (1.0 + induced_norm(A, 1, 1))
     P = np.zeros_like(Q)
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (t, W) in zip(range(MAX_DOUBLINGS + 1), gramian_doubling(A, Q, step)):
             # the norm can overflow while every entry is finite
-            w_norm = float(np.linalg.norm(W))
+            w_norm = vector_norm(W, 2)
             if not math.isfinite(w_norm):
                 raise DivergenceError(f"integral diverges: W(t) overflows at t = {t:.3e}")
             inc = W - P
@@ -378,7 +379,7 @@ def lyap_solve_integral(A, Q):
                     diagnostics={"step": k, "lambda_min": lam_min_inc},
                 )
             P = W
-            if float(np.linalg.norm(inc)) <= INTEGRAL_RTOL * w_norm:
+            if vector_norm(inc, 2) <= INTEGRAL_RTOL * w_norm:
                 return 0.5 * (P + P.T)
     if k < MAX_DOUBLINGS:  # gramian_doubling stopped on e^{tA}
         reason = f": e^{{tA}} overflows at t = {t:.3e} after {k} doublings"

@@ -115,9 +115,6 @@ class TestCertifyCommand:
         assert [str(w.message) for w in recwarn
                 if issubclass(w.category, RuntimeWarning)] == []
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 9: np.linalg.norm squares entries near 1e300 and "
-        "overflows with a warning, so the finite W(t) reads as divergent"))
     def test_q_near_float_max_certifies(self, tmp_path, capsys, recwarn):
         path = tmp_path / "q.json"
         path.write_text(json.dumps({"A": [[-1.0]], "Q": [[1e300]]}))
@@ -126,9 +123,6 @@ class TestCertifyCommand:
         assert [str(w.message) for w in recwarn
                 if issubclass(w.category, RuntimeWarning)] == []
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 9: np.linalg.norm squares the entries of C'C = 1e156 "
-        "and overflows"))
     def test_large_output_map_certifies(self, tmp_path, capsys, recwarn):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"A": [[-1.0]], "C": [[1e78]]}))
@@ -136,9 +130,6 @@ class TestCertifyCommand:
         assert [str(w.message) for w in recwarn
                 if issubclass(w.category, RuntimeWarning)] == []
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 9: the Gramian of (C, -A) overflows in the block "
-        "exponential although eps* is finite"))
     def test_final_observability_of_large_output_map(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"A": [[-1.0]], "C": [[1e150]], "t0": 1}))
