@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -48,7 +49,8 @@ from .lyapunov import (
     lyap_apply,
     lyap_solve_direct,
     lyap_solve_integral,
-    rkhs_factor,
+    output_map,
+    rkhs_factor,  # noqa: F401 (benchmarks/spans.py looks it up here)
 )
 
 __all__ = [
@@ -271,17 +273,6 @@ class Certificate:
         return canonical_json(self.to_dict())
 
 
-def output_map(C, Q):
-    """The output map of a right-hand side: C when given, else the RKHS
-    factor of Q (C'C = Q) padded to one zero row when Q has rank 0."""
-    if C is not None:
-        return C
-    C = rkhs_factor(Q)
-    if C.shape[0] == 0:
-        C = np.zeros((1, Q.shape[0]))  # C'C unchanged
-    return C
-
-
 def direct_solution(pair):
     """The solution a certificate carries and its Frobenius residual
     ||A'P + PA + Q||: lyap_solve_direct on the pair's Schur form."""
@@ -390,8 +381,6 @@ def run_gallery(out_dir):
     """Write the fixture corpus: problem + certificate pairs pinning the
     pipeline's behavior (stability, detectability, resonance, necessity of
     the detector hypothesis).  Deterministic: re-runs are byte-identical."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     records = []
     for name, problem, expected in GALLERY_FIXTURES:

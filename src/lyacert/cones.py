@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 from .exceptions import (
     DimensionError,
@@ -313,8 +314,6 @@ def map_preserves_cone(cone, map_):
             if not cone_contains(cone, M @ g):
                 return ConeMapResult(preserves=False, witness=g.copy())
         return ConeMapResult(preserves=True, witness=None)
-    from scipy.linalg.lapack import dpotrf  # lazy, like scipy.optimize
-
     n, E = cone.dim, np.eye(cone.dim)
     i, j = np.triu_indices(n, 1)
     V = np.vstack([E, E[i] + E[j], E[i] - E[j]])

@@ -26,6 +26,7 @@ from .exceptions import (
 )
 from .linalg import (
     DECAY_TOL,
+    _van_loan,
     as_matrix,
     as_square,
     as_vector,
@@ -38,7 +39,7 @@ from .linalg import (
     spectral_abscissa,
     vector_norm,
 )
-from .lyapunov import lyap_solve_direct
+from .lyapunov import lyap_solve_direct, output_map
 
 __all__ = [
     "ObservedPair",
@@ -316,8 +317,6 @@ def pi_detector_check(target):
     if isinstance(target, ObservedPair):
         pair = target
     else:
-        from .certify import output_map  # certify imports this module
-
         A, Q = target
         pair = ObservedPair(A=A, C=output_map(None, Q))
     basis = unobservable_subspace(pair)
@@ -402,8 +401,8 @@ def duhamel_residual(pair, F, t, x):
 
         T(t)x = T_{A-FC}(t)x + int_0^t T_{A-FC}(t-s) FC T(s)x ds,
 
-    with the convolution integral computed exactly as the off-diagonal
-    block of exp(t [[A-FC, FC], [0, A]])."""
+    with the convolution integral computed exactly as the Van Loan
+    convolution of X = A-FC, Y = FC, Z = A."""
     A, C = pair.A, pair.C
     n = pair.n
     F = as_matrix(F, "F")
@@ -412,13 +411,8 @@ def duhamel_residual(pair, F, t, x):
     t = check_time(t)
     x = as_vector(x, n, "x")
     Acl = A - F @ C
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = Acl
-    M[:n, n:] = F @ C
-    M[n:, n:] = A
-    E = scipy.linalg.expm(t * M)
     lhs = expm(A, t) @ x
-    rhs = expm(Acl, t) @ x + E[:n, n:] @ x
+    rhs = expm(Acl, t) @ x + _van_loan(Acl, F @ C, A, t)[0] @ x
     return relative_gap(lhs, rhs)
 
 

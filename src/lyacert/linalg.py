@@ -1,10 +1,10 @@
 """Deterministic dense linear algebra kernel.
 
-Matrix exponentials, exact block-augmented time integrals, spectral
-quantities (among them the real Schur form that one certificate shares),
-induced and nuclear norms, and the orthonormal coordinates on Sym(n) used
-by the Lyapunov machinery.  Everything here is a pure function of its
-inputs.
+Matrix exponentials, exact time integrals (each one Van Loan block
+exponential, _van_loan), spectral quantities (among them the real Schur
+form that one certificate shares), induced and nuclear norms, and the
+orthonormal coordinates on Sym(n) used by the Lyapunov machinery.
+Everything here is a pure function of its inputs.
 
 Every norm the package takes comes from one kernel, _lp_norms, behind
 vector_norm and induced_norm: it overflows or underflows only where the
@@ -102,9 +102,18 @@ class NormInterval(NamedTuple):
 # Validation helpers
 # ---------------------------------------------------------------------------
 
+def _as_real(a, name):
+    """np.asarray(a, dtype=float), refusing complex input instead of
+    dropping its imaginary part."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        raise ValueError(f"{name} has complex entries")
+    return a.astype(float, copy=False)
+
+
 def as_matrix(a, name="matrix"):
-    """Coerce to a 2-D float array with finite entries."""
-    m = np.asarray(a, dtype=float)
+    """Coerce to a 2-D float array with finite real entries."""
+    m = _as_real(a, name)
     if m.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
@@ -122,7 +131,7 @@ def as_square(a, name="matrix"):
 
 
 def as_vector(x, dim=None, name="vector"):
-    v = np.asarray(x, dtype=float).ravel()
+    v = _as_real(x, name).ravel()
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} has non-finite entries")
     if dim is not None and v.size != dim:
@@ -148,8 +157,15 @@ def check_symmetric(a, name="matrix"):
 
 
 def check_time(t, name="time", positive=False):
-    """float(t), which must be finite and >= 0 (> 0 when ``positive``)."""
-    t = float(t)
+    """float(t), which must be a finite real number >= 0 (> 0 when
+    ``positive``), not a bool."""
+    if isinstance(t, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {t!r}")
+    try:
+        t = float(t)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer beyond the "
+                         f"float range") from None
     if not math.isfinite(t):
         raise ValueError(f"{name} must be finite, got {t}")
     if t < 0.0 or (positive and t == 0.0):
@@ -232,74 +248,59 @@ def expm(A, t=1.0):
     return scipy.linalg.expm(t * A)
 
 
-def integral_exp(A, t):
-    """Integrated semigroup S(t) = int_0^t e^{sA} ds, computed exactly.
+def _van_loan(X, Y, Z, t):
+    """(int_0^t e^{(t-s)X} Y e^{sZ} ds, e^{tZ}): the top-right and
+    bottom-right blocks of the one exponential exp(t [[X, Y], [0, Z]]) (Van
+    Loan, IEEE TAC 23, 1978), behind every exact time integral here."""
+    k = X.shape[0]
+    E = scipy.linalg.expm(t * np.block([[X, Y], [np.zeros((Z.shape[0], k)), Z]]))
+    return E[:k, k:], E[k:, k:]
 
-    Uses the top-right block of exp(t * [[A, I], [0, 0]]); no quadrature.
-    """
-    return _iterated_integral(A, t, 1)
+
+def integral_exp(A, t):
+    """Integrated semigroup S(t) = int_0^t e^{sA} ds, computed exactly: the
+    Van Loan convolution of X = A, Y = I, Z = 0; no quadrature."""
+    A = as_square(A, "A")
+    n = A.shape[0]
+    return _van_loan(A, np.eye(n), np.zeros((n, n)), check_time(t))[0]
 
 
 def cesaro_integral(A, t):
-    """int_0^t S(tau) dtau via a doubly augmented block exponential.
-
-    Top-right block of exp(t * [[A, I, 0], [0, 0, I], [0, 0, 0]]); the
-    caller divides by t for the Cesaro average.
-    """
-    return _iterated_integral(A, t, 2)
-
-
-def _iterated_integral(A, t, k):
-    """k-fold time integral of e^{sA} over [0, t]: the top-right n x n block
-    of exp(t M), M = A in the first diagonal block and identities on the k
-    blocks above the diagonal (zero at t = 0)."""
+    """int_0^t S(tau) dtau, computed exactly: the first n rows of the Van
+    Loan convolution of X = [[A, I], [0, 0]], Y = [[0], [I]], Z = 0.  The
+    caller divides by t for the Cesaro average."""
     A = as_square(A, "A")
-    t = check_time(t)
     n = A.shape[0]
-    if t == 0.0:
-        return np.zeros((n, n))
-    M = np.zeros(((k + 1) * n, (k + 1) * n))
-    M[:n, :n] = A
-    for j in range(k):
-        M[j * n : (j + 1) * n, (j + 1) * n : (j + 2) * n] = np.eye(n)
-    E = scipy.linalg.expm(t * M)
-    return E[:n, k * n :]
+    eye, zero = np.eye(n), np.zeros((n, n))
+    X = np.block([[A, eye], [zero, zero]])
+    return _van_loan(X, np.vstack([zero, eye]), zero, check_time(t))[0][:n]
 
 
 def gramian_integral(A, Q, t):
-    """W(t) = int_0^t e^{sA'} Q e^{sA} ds via the 2n-block exponential.
-
-    With E = exp(t * [[-A', Q], [0, A]]) partitioned into n x n blocks,
-    W(t) = E22' @ E12 (Van Loan's construction); exact up to expm accuracy.
-    """
-    return _van_loan(A, Q, t)[0]
+    """W(t) = int_0^t e^{sA'} Q e^{sA} ds, exact up to expm accuracy."""
+    return _gramian(A, Q, t)[0]
 
 
-def _van_loan(A, Q, t):
-    """(W(t), e^{tA}) from gramian_integral's exponential E: e^{tA} = E22.
-    W is linear in Q, so E carries Q by its binade 2^k: W(Q) = 2^k W(2^-k Q)
-    exactly, and W(4^j Q) = 4^j W(Q) bit for bit."""
+def _gramian(A, Q, t):
+    """(W(t), e^{tA}): W = e^{tA'} F with F the Van Loan convolution of
+    X = -A', Y = Q, Z = A.  W is linear in Q, so the exponential carries Q
+    by its binade 2^k: W(Q) = 2^k W(2^-k Q) exactly, and W(4^j Q) = 4^j W(Q)
+    bit for bit."""
     A = as_square(A, "A")
     Q = as_square(Q, "Q")
     if Q.shape != A.shape:
         raise DimensionError(f"Q must match A, got {Q.shape} vs {A.shape}")
-    t = check_time(t)
-    n = A.shape[0]
     k = int(np.frexp(np.abs(Q).max())[1])
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = -A.T
-    M[:n, n:] = np.ldexp(Q, -k)
-    M[n:, n:] = A
-    E = scipy.linalg.expm(t * M)
-    W = E[n:, n:].T @ E[:n, n:]
-    return np.ldexp(0.5 * (W + W.T), k), E[n:, n:]
+    F, E = _van_loan(-A.T, np.ldexp(Q, -k), A, check_time(t))
+    W = E.T @ F
+    return np.ldexp(0.5 * (W + W.T), k), E
 
 
 def gramian_doubling(A, Q, t):
     """Yield (t, W(t)) at t, 2t, 4t, ... by W(2t) = W(t) + e^{tA'} W(t) e^{tA}
     (squared Smith iteration), from the one exponential that gives W(t) and
     e^{tA} (gramian_integral's); ends after the first non-finite W or e^{tA}."""
-    W, E = _van_loan(A, Q, t)
+    W, E = _gramian(A, Q, t)
     while True:
         yield t, W
         if not np.all(np.isfinite(W)) or not np.all(np.isfinite(E)):

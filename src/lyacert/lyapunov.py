@@ -294,6 +294,17 @@ def rkhs_factor(Q):
     return (np.sqrt(lam[keep])[:, None]) * U[:, keep].T
 
 
+def output_map(C, Q):
+    """The output map of a right-hand side: C when given, else the RKHS
+    factor of Q (C'C = Q) padded to one zero row when Q has rank 0."""
+    if C is not None:
+        return C
+    C = rkhs_factor(Q)
+    if C.shape[0] == 0:
+        C = np.zeros((1, Q.shape[0]))  # C'C unchanged
+    return C
+
+
 def _check_nonresonant(w):
     """Raise on the first pair (i <= j, row-major) of the eigenvalues w,
     taken in np.sort_complex order, with lambda_i + lambda_j = 0."""

@@ -22,6 +22,7 @@ from lyacert.certify import (
     run_gallery,
     wonham_certify,
 )
+from lyacert.detect import ObservedPair, l2_detectable
 from lyacert.exceptions import (
     InternalInconsistencyError,
     NumericalError,
@@ -299,6 +300,46 @@ class TestKrylovMisrank:
         spec = problem_from_dict(heat_equation_problem())
         assert wonham_certify(spec).verdict == VERDICT_STABLE
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 1: the Krylov rank decision misranks [C; CA] at n = 2 "
+        "with a 1e16 coupling, so certify raises 'detectability notions "
+        "disagree'"))
+    def test_strongly_coupled_pair_is_detectable(self):
+        # A is stable, so every output map detects it
+        pair = ObservedPair(A=np.array([[-1.0, 1e16], [0.0, -1.0]]),
+                            C=np.array([[1.0, 0.0]]))
+        assert l2_detectable(pair)
+
+
+class TestVerdictOnValidInput:
+    """Valid inputs with n <= 2 and |alpha| >= 1e-6 that exit 1 today."""
+
+    @pytest.mark.parametrize("t0", [
+        170.0,
+        pytest.param(180.0, marks=pytest.mark.xfail(
+            strict=True, raises=NumericalError, reason=(
+                "ROADMAP item 16: eps* = (e^720 - 1)/4 is beyond the float "
+                "range, so the Gramian of (C, -A) overflows at t0 = 180"))),
+    ])
+    def test_long_horizon_certifies(self, t0):
+        spec = problem_from_dict({"A": [[-2.0]], "C": [[1.0]], "t0": t0})
+        assert wonham_certify(spec).verdict == VERDICT_STABLE
+
+    @pytest.mark.xfail(strict=True, raises=InternalInconsistencyError, reason=(
+        "ROADMAP items 10 and 12: the integral cross-check disagrees with the "
+        "direct solution (relative gap 6.6e-5 at 1e12, 2.4e-3 at 1e15)"))
+    @pytest.mark.parametrize("coupling", [1e12, 1e14, 1e15])
+    def test_non_normal_pair_gets_a_verdict(self, coupling):
+        spec = ProblemSpec(A=np.array([[-1.0, coupling], [0.0, -1.0]]),
+                           C=np.array([[1.0, 0.0]]))
+        try:
+            cert = wonham_certify(spec)
+        except NumericalError as exc:  # located: the message names its stage
+            stage, _, detail = str(exc).partition(": ")
+            assert stage and detail
+        else:
+            assert cert.verdict == VERDICT_STABLE
+
 
 class TestOneSchurForm:
     @pytest.mark.parametrize("problem, verdict", [
@@ -327,8 +368,8 @@ class TestOneSchurForm:
         # the certificate, the decay probe and the eps* Gramian share one
         # factor of Q and one C'C
         calls = []
-        factor = lyacert.certify.rkhs_factor
-        monkeypatch.setattr(lyacert.certify, "rkhs_factor",
+        factor = lyacert.lyapunov.rkhs_factor
+        monkeypatch.setattr(lyacert.lyapunov, "rkhs_factor",
                             lambda Q: calls.append(Q) or factor(Q))
         spec = problem_from_dict(
             {"A": [[-1.0, 2.0], [0.0, -3.0]], "Q": [[2.0, 1.0], [1.0, 1.0]],

@@ -55,6 +55,16 @@ def test_time_must_be_finite_and_nonnegative(entry, t):
         TIME_ENTRIES[entry](t)
 
 
+@pytest.mark.parametrize("t, match", [(True, "must be a number"),
+                                      (10**400, "beyond the float range")],
+                         ids=["bool", "int-1e400"])
+@pytest.mark.parametrize("entry", sorted(TIME_ENTRIES))
+def test_time_must_be_a_real_number_in_float_range(entry, t, match):
+    # float(True) is 1.0 and float(10**400) raises OverflowError
+    with pytest.raises(ValueError, match=match):
+        TIME_ENTRIES[entry](t)
+
+
 class TestExpm:
     def test_t_zero_is_identity(self, rng):
         A = random_matrix(rng, 5)
@@ -468,6 +478,18 @@ class TestValidation:
             as_matrix([[1.0, np.nan]])
         with pytest.raises(ValueError, match="non-finite"):
             expm(np.array([[np.inf]]), 1.0)
+
+    def test_complex_entries_rejected(self):
+        # a cast to float drops the imaginary part: the abscissa of this A
+        # is 1.0987, that of its real part 1.0
+        from lyacert.linalg import as_vector
+
+        A = [[0.0, 1.0 + 1.0j], [1.0, 0.0]]
+        for a in (A, np.array(A)):
+            with pytest.raises(ValueError, match="A has complex entries"):
+                spectral_abscissa(a)
+        with pytest.raises(ValueError, match="x has complex entries"):
+            as_vector(np.array([1.0, 1.0j]), name="x")
 
     def test_space_norm_validation(self):
         # 1/p + 1/q = 1 for the exponents of an l_p space and its dual
